@@ -207,7 +207,6 @@ pub fn bench_rebalance(cfg: &RebalanceBenchConfig) -> RebalanceBenchRow {
 
     let router_cfg = |seed: u64| RouterConfig {
         client: quiet_client(seed),
-        tick: Duration::from_millis(1),
         seed: Some(seed),
         ..RouterConfig::default()
     };

@@ -105,7 +105,6 @@ pub fn bench_router(cfg: &RouterBenchConfig) -> RouterBenchRow {
 
     let router_cfg = |seed: u64| RouterConfig {
         client: quiet_client(),
-        tick: Duration::from_millis(1),
         seed: Some(seed),
         ..RouterConfig::default()
     };

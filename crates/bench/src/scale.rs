@@ -236,7 +236,6 @@ fn router_cfg(seed: u64) -> RouterConfig {
             tick: Duration::from_millis(1),
             ..ClientConfig::default()
         },
-        tick: Duration::from_millis(1),
         seed: Some(seed),
         ..RouterConfig::default()
     }

@@ -35,10 +35,29 @@
 //!   `Dropped` / `GaveUp`), so callers see degradation instead of
 //!   silence.
 //!
-//! The client is plain blocking std networking on one worker thread —
-//! the same substrate as the broker — and interoperates with any RESP
-//! pub/sub server: payloads published by id-unaware clients are
-//! delivered verbatim (no id, no dedup).
+//! The client is plain blocking std networking on one worker thread
+//! (`dm-client`) and interoperates with any RESP pub/sub server:
+//! payloads published by id-unaware clients are delivered verbatim (no
+//! id, no dedup).
+//!
+//! # The worker's pass
+//!
+//! The worker is the last thread a delivery crosses. One pass is: swap
+//! the caller's command queue out under one lock, encode every command
+//! and every queued publication into one buffer, send it with one
+//! `write_all`, then block in one `read` (at most
+//! [`ClientConfig::tick`]) into a reusable buffer and decode every
+//! complete frame in it by cursor. Each decoded application message and
+//! each [`ClientEvent`] goes to the client's sink on the worker
+//! thread itself: [`TcpPubSubClient::connect_addr`] installs the sink
+//! that feeds [`TcpPubSubClient::try_message`] /
+//! [`TcpPubSubClient::try_event`]; the routed tier installs one that
+//! runs its cross-broker dedup and pushes straight onto the queue
+//! [`RoutedClient::try_message`](crate::RoutedClient::try_message)
+//! reads, so no second thread sits between the socket and the caller.
+//! A write that fails leaves the whole batch unacknowledged; it returns
+//! to the head of the queue in order, ids unchanged, and is re-sent
+//! after the reconnect.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -322,6 +341,97 @@ impl Dedup {
     }
 }
 
+/// Where a worker puts what its connection produces. Called on the
+/// worker thread, in arrival order; an implementation must neither
+/// block nor join the client it serves.
+pub(crate) trait Sink: Send {
+    /// One application message that passed the connection's dedup
+    /// window.
+    fn message(&mut self, msg: Message);
+    /// One state change of the connection.
+    fn event(&mut self, event: ClientEvent);
+    /// Every frame of one socket read has been handed over.
+    fn read_end(&mut self) {}
+}
+
+/// The default sink: the client's own queues.
+struct QueueSink {
+    messages: mpsc::Sender<Message>,
+    events: mpsc::Sender<ClientEvent>,
+}
+
+impl Sink for QueueSink {
+    fn message(&mut self, msg: Message) {
+        let _ = self.messages.send(msg);
+    }
+
+    fn event(&mut self, event: ClientEvent) {
+        let _ = self.events.send(event);
+    }
+}
+
+/// Encoded bytes after which a pass writes before it encodes more: one
+/// write per pass for any ordinary backlog, bounded memory for a deep
+/// one.
+const WRITE_BATCH_BYTES: usize = 256 * 1024;
+
+/// Starting size of a connection's read buffer; it doubles whenever a
+/// frame does not fit.
+const READ_BUF_INIT: usize = 16 * 1024;
+
+/// A connection's receive buffer: filled at the tail by `read`, consumed
+/// at the head by cursor, so decoding a frame moves no bytes.
+struct ReadBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuf {
+    fn new() -> ReadBuf {
+        ReadBuf {
+            buf: vec![0; READ_BUF_INIT],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Reads once from `stream` into the free tail.
+    fn fill(&mut self, stream: &mut impl Read) -> std::io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.cramped() && self.start > 0 {
+            // A partial frame at the tail: move it to the front.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.cramped() {
+            // The frame in progress is larger than the buffer.
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Less than a quarter of the buffer is free behind the data.
+    fn cramped(&self) -> bool {
+        self.buf.len() - self.end < self.buf.len() / 4
+    }
+
+    /// The bytes not yet consumed.
+    fn unread(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn consume(&mut self, used: usize) {
+        self.start += used;
+    }
+}
+
 enum Cmd {
     Subscribe {
         channel: String,
@@ -442,14 +552,30 @@ impl TcpPubSubClient {
     /// temporarily unreachable peer (dispatcher sidecars, the live
     /// balancer).
     pub fn connect_addr(addr: SocketAddr, config: ClientConfig) -> TcpPubSubClient {
+        let (messages, msg_rx) = mpsc::channel();
+        let (events, event_rx) = mpsc::channel();
+        let mut client =
+            TcpPubSubClient::connect_sink(addr, config, |_| QueueSink { messages, events });
+        client.messages = Mutex::new(msg_rx);
+        client.events = Mutex::new(event_rx);
+        client
+    }
+
+    /// Starts a client whose worker hands everything it produces to the
+    /// sink `make_sink` builds from the client's origin, instead of the
+    /// client's own queues: [`Self::try_message`] and [`Self::try_event`]
+    /// of such a client never return anything.
+    pub(crate) fn connect_sink<S: Sink + 'static>(
+        addr: SocketAddr,
+        config: ClientConfig,
+        make_sink: impl FnOnce(u64) -> S,
+    ) -> TcpPubSubClient {
         let shared = Arc::new(ClientShared {
             running: AtomicBool::new(true),
             cmds: Mutex::new(VecDeque::new()),
             exited: AtomicBool::new(false),
             stranded: Mutex::new(Vec::new()),
         });
-        let (msg_tx, msg_rx) = mpsc::channel();
-        let (event_tx, event_rx) = mpsc::channel();
         let mut rng = match config.seed {
             Some(seed) => SplitMix64::new(seed),
             None => SplitMix64::from_entropy(),
@@ -459,8 +585,7 @@ impl TcpPubSubClient {
             addr,
             cfg: config,
             shared: Arc::clone(&shared),
-            messages: msg_tx,
-            events: event_tx,
+            sink: Box::new(make_sink(origin)),
             rng,
             origin,
             next_seq: 0,
@@ -468,13 +593,19 @@ impl TcpPubSubClient {
             pending: VecDeque::new(),
             unacked: VecDeque::new(),
             dedup: Dedup::new(),
+            cmds: VecDeque::new(),
+            out: Vec::new(),
         };
-        let handle = std::thread::spawn(move || worker.run());
+        let handle = std::thread::Builder::new()
+            .name("dm-client".into())
+            .spawn(move || worker.run())
+            .expect("spawn dm-client thread");
         TcpPubSubClient {
             shared,
             worker: Some(handle),
-            messages: Mutex::new(msg_rx),
-            events: Mutex::new(event_rx),
+            // Disconnected queues: a custom sink receives everything.
+            messages: Mutex::new(mpsc::channel().1),
+            events: Mutex::new(mpsc::channel().1),
             origin,
         }
     }
@@ -621,27 +752,11 @@ struct PendingPub {
     attempts: u32,
 }
 
-impl PendingPub {
-    fn wire(&self) -> Vec<u8> {
-        let mut wire = Vec::new();
-        resp::encode(
-            &Value::array(vec![
-                Value::bulk("PUBLISH"),
-                Value::bulk(self.channel.as_str()),
-                Value::Bulk(Some(self.framed.clone())),
-            ]),
-            &mut wire,
-        );
-        wire
-    }
-}
-
 struct Worker {
     addr: SocketAddr,
     cfg: ClientConfig,
     shared: Arc<ClientShared>,
-    messages: mpsc::Sender<Message>,
-    events: mpsc::Sender<ClientEvent>,
+    sink: Box<dyn Sink>,
     rng: SplitMix64,
     origin: u64,
     next_seq: u64,
@@ -649,6 +764,12 @@ struct Worker {
     pending: VecDeque<PendingPub>,
     unacked: VecDeque<PendingPub>,
     dedup: Dedup,
+    /// The pass's commands, swapped out of `shared.cmds` under one lock
+    /// (callers keep pushing onto the other deque meanwhile).
+    cmds: VecDeque<Cmd>,
+    /// The pass's outgoing bytes: every command and publication encoded
+    /// back to back, sent with one write.
+    out: Vec<u8>,
 }
 
 impl Worker {
@@ -656,8 +777,8 @@ impl Worker {
         self.shared.running.load(Ordering::SeqCst)
     }
 
-    fn emit(&self, event: ClientEvent) {
-        let _ = self.events.send(event);
+    fn emit(&mut self, event: ClientEvent) {
+        self.sink.event(event);
     }
 
     fn run(mut self) {
@@ -720,17 +841,19 @@ impl Worker {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.cfg.tick));
         // Transparent re-subscribe before anything else, resuming each
-        // channel from its high-water sequence.
+        // channel from its high-water sequence. (Nothing encoded for
+        // the previous connection leaks into this one.)
+        self.out.clear();
         if !self.desired.is_empty() {
-            let mut words = vec![Value::bulk("SUBSCRIBE")];
-            words.extend(
-                self.desired
-                    .iter()
-                    .map(|(c, st)| Value::bulk(st.subscribe_arg(self.cfg.resume, c))),
-            );
-            let mut wire = Vec::new();
-            resp::encode(&Value::array(words), &mut wire);
-            if stream.write_all(&wire).is_err() {
+            let args: Vec<String> = self
+                .desired
+                .iter()
+                .map(|(c, st)| st.subscribe_arg(self.cfg.resume, c))
+                .collect();
+            let mut parts: Vec<&[u8]> = vec![b"SUBSCRIBE"];
+            parts.extend(args.iter().map(|a| a.as_bytes()));
+            resp::encode_command(&parts, &mut self.out);
+            if !self.flush(&mut stream) {
                 self.emit(ClientEvent::Disconnected {
                     reason: DisconnectReason::Io,
                 });
@@ -750,32 +873,32 @@ impl Worker {
         let mut last_rx = Instant::now();
         let mut last_ping = Instant::now();
         let mut got_data = false;
-        let mut buf: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
+        let mut rbuf = ReadBuf::new();
         loop {
             if !self.running() {
                 return got_data;
             }
             let reason = 'fail: {
-                if !self.apply_commands(Some(&mut stream)) || !self.send_pending(&mut stream) {
+                self.apply_commands(true);
+                if !self.send_pending(&mut stream) {
                     break 'fail Some(DisconnectReason::Io);
                 }
-                match stream.read(&mut chunk) {
+                match rbuf.fill(&mut stream) {
                     Ok(0) => break 'fail Some(DisconnectReason::ServerClosed),
-                    Ok(n) => {
+                    Ok(_) => {
                         last_rx = Instant::now();
                         got_data = true;
-                        buf.extend_from_slice(&chunk[..n]);
                         loop {
-                            match resp::decode(&buf) {
+                            match resp::decode(rbuf.unread()) {
                                 Ok(Some((value, used))) => {
-                                    buf.drain(..used);
+                                    rbuf.consume(used);
                                     self.handle_frame(value);
                                 }
                                 Ok(None) => break,
                                 Err(_) => break 'fail Some(DisconnectReason::Protocol),
                             }
                         }
+                        self.sink.read_end();
                     }
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
@@ -786,11 +909,8 @@ impl Worker {
                     break 'fail Some(DisconnectReason::LivenessTimeout);
                 }
                 if last_ping.elapsed() >= ping_every {
-                    let mut wire = Vec::new();
-                    resp::encode(&Value::array(vec![Value::bulk("PING")]), &mut wire);
-                    if stream.write_all(&wire).is_err() {
-                        break 'fail Some(DisconnectReason::Io);
-                    }
+                    // Leaves with the next pass's write, which is next.
+                    resp::encode_command(&[b"PING"], &mut self.out);
                     last_ping = Instant::now();
                 }
                 None
@@ -868,7 +988,7 @@ impl Worker {
                         return;
                     }
                 }
-                let _ = self.messages.send(Message {
+                self.sink.message(Message {
                     channel,
                     payload: body.to_vec(),
                     id,
@@ -892,15 +1012,14 @@ impl Worker {
         }
     }
 
-    /// Applies queued caller commands; `stream` is `None` while
-    /// disconnected (the desired set and publish queue still update).
-    /// Returns `false` on a write error.
-    fn apply_commands(&mut self, mut stream: Option<&mut TcpStream>) -> bool {
-        loop {
-            let cmd = match self.shared.cmds.lock().pop_front() {
-                Some(c) => c,
-                None => return true,
-            };
+    /// Applies queued caller commands, encoding what goes on the wire
+    /// into `out`; while not `connected` only the desired set and the
+    /// publish queue update (the next session re-subscribes from them).
+    fn apply_commands(&mut self, connected: bool) {
+        // One lock per pass, not one per command: `publish()` callers
+        // contend for it.
+        std::mem::swap(&mut *self.shared.cmds.lock(), &mut self.cmds);
+        while let Some(cmd) = self.cmds.pop_front() {
             match cmd {
                 Cmd::Subscribe { channel, from } => {
                     let is_new = !self.desired.contains_key(&channel);
@@ -911,22 +1030,14 @@ impl Worker {
                     // An explicit `from` re-issues the SUBSCRIBE even on
                     // an already-subscribed channel: the broker replaces
                     // the registration and replays from the new point.
-                    if is_new || from.is_some() {
+                    if connected && (is_new || from.is_some()) {
                         let arg = st.subscribe_arg(self.cfg.resume, &channel);
-                        if let Some(s) = stream.as_deref_mut() {
-                            if !write_command(s, &["SUBSCRIBE", &arg]) {
-                                return false;
-                            }
-                        }
+                        resp::encode_command(&[b"SUBSCRIBE", arg.as_bytes()], &mut self.out);
                     }
                 }
                 Cmd::Unsubscribe(channel) => {
-                    if self.desired.remove(&channel).is_some() {
-                        if let Some(s) = stream.as_deref_mut() {
-                            if !write_command(s, &["UNSUBSCRIBE", &channel]) {
-                                return false;
-                            }
-                        }
+                    if self.desired.remove(&channel).is_some() && connected {
+                        resp::encode_command(&[b"UNSUBSCRIBE", channel.as_bytes()], &mut self.out);
                     }
                 }
                 Cmd::Publish { channel, body } => {
@@ -974,8 +1085,12 @@ impl Worker {
         });
     }
 
-    /// Sends every queued publication, dropping those that exhausted
-    /// their attempts. Returns `false` on a write error.
+    /// Sends the pass's batch: what `apply_commands` encoded, then every
+    /// queued publication (dropping those that exhausted their
+    /// attempts). A publication is in flight from the moment it is
+    /// encoded, so after a failed write the whole batch is in `unacked`
+    /// and returns to the queue in order. Returns `false` on a write
+    /// error.
     fn send_pending(&mut self, stream: &mut TcpStream) -> bool {
         while let Some(mut p) = self.pending.pop_front() {
             if p.attempts >= self.cfg.publish_retries {
@@ -985,13 +1100,23 @@ impl Worker {
                 continue;
             }
             p.attempts += 1;
-            if stream.write_all(&p.wire()).is_err() {
-                self.pending.push_front(p);
+            resp::encode_command(
+                &[b"PUBLISH", p.channel.as_bytes(), &p.framed],
+                &mut self.out,
+            );
+            self.unacked.push_back(p);
+            if self.out.len() >= WRITE_BATCH_BYTES && !self.flush(stream) {
                 return false;
             }
-            self.unacked.push_back(p);
         }
-        true
+        self.flush(stream)
+    }
+
+    /// Writes `out` and empties it; returns `false` on a write error.
+    fn flush(&mut self, stream: &mut TcpStream) -> bool {
+        let sent = self.out.is_empty() || stream.write_all(&self.out).is_ok();
+        self.out.clear();
+        sent
     }
 
     /// Sleeps for a full-jitter backoff delay, staying responsive to
@@ -1004,7 +1129,7 @@ impl Worker {
         let delay = Duration::from_millis(1 + self.rng.next_below(ceiling));
         let deadline = Instant::now() + delay;
         while self.running() {
-            self.apply_commands(None);
+            self.apply_commands(false);
             let now = Instant::now();
             if now >= deadline {
                 return;
@@ -1012,14 +1137,6 @@ impl Worker {
             std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
         }
     }
-}
-
-/// Encodes and writes one command array; returns `false` on error.
-fn write_command(stream: &mut TcpStream, words: &[&str]) -> bool {
-    let value = Value::array(words.iter().map(|w| Value::bulk(*w)).collect());
-    let mut wire = Vec::new();
-    resp::encode(&value, &mut wire);
-    stream.write_all(&wire).is_ok()
 }
 
 #[cfg(test)]
@@ -1091,6 +1208,48 @@ mod tests {
             ahead.subscribe_arg(true, "ch"),
             format!("DMSEQ1;{:016x};ch", 42)
         );
+    }
+
+    #[test]
+    fn read_buf_keeps_frames_intact_across_compaction_and_growth() {
+        // Frames from 1 B to several buffers long, back to back, arriving
+        // in reads that split them anywhere.
+        let bodies: Vec<Vec<u8>> = [1, 700, 5_000, 3 * READ_BUF_INIT, 9, 20_000, 64]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| vec![b'a' + i as u8; len])
+            .collect();
+        let mut wire = Vec::new();
+        for body in &bodies {
+            resp::encode(&Value::bulk(body.clone()), &mut wire);
+        }
+        /// Yields at most 3 000 bytes per read.
+        struct Trickle<'a>(&'a [u8]);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.len().min(buf.len()).min(3_000);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let mut src = Trickle(&wire);
+        let mut rbuf = ReadBuf::new();
+        let mut decoded = Vec::new();
+        while rbuf.fill(&mut src).expect("read") > 0 {
+            while let Some((value, used)) = resp::decode(rbuf.unread()).expect("valid") {
+                rbuf.consume(used);
+                decoded.push(value);
+            }
+        }
+        let expected: Vec<Value> = bodies.into_iter().map(Value::bulk).collect();
+        assert_eq!(decoded, expected);
+        assert!(rbuf.unread().is_empty());
+        assert!(
+            rbuf.buf.len() > 3 * READ_BUF_INIT,
+            "grew for the long frame"
+        );
+        assert!(rbuf.buf.len() <= 8 * READ_BUF_INIT, "and only as needed");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! the same protocol real Redis clients do.
 
 use std::fmt;
+use std::io::Write;
 
 /// A RESP2 protocol value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,6 +104,20 @@ pub fn encode(value: &Value, out: &mut Vec<u8>) {
                 encode(item, out);
             }
         }
+    }
+}
+
+/// Appends the command array `parts` (`*N`, then one bulk string per
+/// part) to `out` — byte-identical to [`encode`] of the equivalent
+/// [`Value::array`] of bulks, without building the tree, so a client can
+/// pipeline many commands into one buffer and one write.
+pub fn encode_command(parts: &[&[u8]], out: &mut Vec<u8>) {
+    // `write!` into a `Vec` cannot fail.
+    let _ = write!(out, "*{}\r\n", parts.len());
+    for part in parts {
+        let _ = write!(out, "${}\r\n", part.len());
+        out.extend_from_slice(part);
+        out.extend_from_slice(b"\r\n");
     }
 }
 
@@ -324,6 +339,27 @@ mod tests {
         roundtrip(Value::Bulk(Some(vec![0, 1, 2, 255])));
         roundtrip(Value::Bulk(None));
         roundtrip(Value::Array(None));
+    }
+
+    #[test]
+    fn encode_command_matches_the_value_encoder() {
+        let big = vec![0xA5u8; 64 * 1024];
+        let cases: [&[&[u8]]; 5] = [
+            &[],
+            &[b""],
+            &[b"PING"],
+            &[b"PUBLISH", b"tile_1", &[0, 1, b'\r', b'\n', 255]],
+            &[b"PUBLISH", b"", &big],
+        ];
+        // Appends: whatever the buffer already holds stays in front.
+        let mut fast = b"prefix".to_vec();
+        let mut tree = b"prefix".to_vec();
+        for parts in cases {
+            encode_command(parts, &mut fast);
+            let items = parts.iter().map(|p| Value::bulk(*p)).collect();
+            encode(&Value::array(items), &mut tree);
+            assert_eq!(fast, tree, "{} parts", parts.len());
+        }
     }
 
     #[test]

@@ -35,6 +35,27 @@
 //! one connection, matching the paper's "connects to the server(s) it
 //! needs" behaviour.
 //!
+//! # Threads: data plane and control plane
+//!
+//! A router over B brokers owns B+1 threads. The B `dm-client` workers
+//! are the **data plane**: each hands the application messages it
+//! decodes to a sink that runs on the worker itself — the
+//! router-level dedup (one `Mutex<Dedup>` shared by the router's
+//! workers, held for the insert only) and a push onto the queue
+//! [`RoutedClient::try_message`] reads. A delivery crosses no other
+//! thread, and one connection's frames stay in arrival order.
+//!
+//! The one `dm-router` thread is the **control plane**. It blocks on a
+//! single inbox fed by the same sinks — every control frame that
+//! applies, every [`ClientEvent`] — with a timeout equal to its next
+//! deadline (a switch-grace unsubscribe, a failover or re-probe timer),
+//! so an idle router wakes for nothing. Everything that tears a
+//! connection down or re-points a subscription runs there,
+//! single-threaded: declaring a broker dead joins that broker's worker,
+//! which must therefore never be the thread doing it (a quarantine entry
+//! about broker *i* may well arrive on connection *i*), and two workers
+//! declaring each other dead would deadlock.
+//!
 //! # Whole-broker failover
 //!
 //! The router also detects *dead* brokers on its own, mirroring the
@@ -68,7 +89,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::client::{
-    frame_payload, ClientConfig, ClientEvent, Dedup, GapReason, Message, MessageId, TcpPubSubClient,
+    frame_payload, ClientConfig, ClientEvent, Dedup, GapReason, Message, MessageId, Sink,
+    TcpPubSubClient,
 };
 use crate::control::{channel_id_of, control_channel, ControlFrame};
 use crate::hashing::{Ring, DEFAULT_VNODES};
@@ -85,8 +107,6 @@ pub struct RouterConfig {
     pub dedup_window: usize,
     /// Virtual identifiers per server on the fallback ring.
     pub vnodes: u32,
-    /// Pump thread granularity.
-    pub tick: Duration,
     /// How long a superseded subscription lingers after a switch before
     /// it is unsubscribed. Covers the connection-setup time of the new
     /// brokers; the resulting double deliveries are deduplicated.
@@ -111,7 +131,6 @@ impl Default for RouterConfig {
             client: ClientConfig::default(),
             dedup_window: 8192,
             vnodes: DEFAULT_VNODES,
-            tick: Duration::from_millis(5),
             switch_grace: Duration::from_secs(1),
             seed: None,
             failover_after: Duration::from_secs(3),
@@ -172,9 +191,81 @@ struct RouterShared {
     pub_origin: u64,
     /// Sequence counter within `pub_origin`'s wire-id namespace.
     pub_seq: AtomicU64,
+    /// The cross-broker dedup window, shared by the router's workers
+    /// (a channel's old and new home overlap during switch grace).
+    dedup: Mutex<Dedup>,
+    /// Per broker: a message arrived since the control thread last
+    /// looked. Liveness evidence costs the data plane one relaxed store
+    /// per socket read and never the routing lock.
+    alive: Vec<AtomicBool>,
 }
 
-/// Liveness view of one broker, updated by the pump thread and read at
+/// What the data plane hands the control thread.
+enum Inbox {
+    /// A state change of broker `broker`'s connection.
+    Event { broker: usize, event: ClientEvent },
+    /// A control frame that arrived where it applies.
+    Control(ControlFrame),
+    /// Re-check `running`.
+    Wake,
+}
+
+/// The sink of broker `broker`'s worker: the router's data plane.
+struct RouterSink {
+    broker: usize,
+    /// This connection's private control channel, named once.
+    control: String,
+    dedup_window: usize,
+    shared: Arc<RouterShared>,
+    messages: mpsc::Sender<Message>,
+    inbox: mpsc::Sender<Inbox>,
+    /// A message arrived in the socket read being consumed.
+    got_message: bool,
+}
+
+impl Sink for RouterSink {
+    fn message(&mut self, msg: Message) {
+        self.got_message = true;
+        let on_control_channel = msg.channel == self.control;
+        if let Some(frame) = ControlFrame::decode(&msg.payload) {
+            let applies = match &frame {
+                ControlFrame::Moved { .. } => on_control_channel,
+                ControlFrame::Switch { channel, .. } => *channel == msg.channel,
+            };
+            if applies {
+                let _ = self.inbox.send(Inbox::Control(frame));
+                return;
+            }
+            // A control frame on the wrong channel is application payload
+            // that merely looks like one; fall through and deliver it.
+        }
+        if on_control_channel {
+            return; // junk on the private channel; nothing to deliver
+        }
+        if let Some(id) = msg.id {
+            if !self.shared.dedup.lock().insert(id, self.dedup_window) {
+                self.shared.duplicates.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
+        let _ = self.messages.send(msg);
+    }
+
+    fn event(&mut self, event: ClientEvent) {
+        let _ = self.inbox.send(Inbox::Event {
+            broker: self.broker,
+            event,
+        });
+    }
+
+    fn read_end(&mut self) {
+        if std::mem::take(&mut self.got_message) {
+            self.shared.alive[self.broker].store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Liveness view of one broker, updated by the control thread and read at
 /// routing time.
 #[derive(Debug, Default)]
 struct BrokerHealth {
@@ -190,6 +281,22 @@ struct BrokerHealth {
     /// Highest balancer-declared death incarnation seen, so stale
     /// quarantine frames cannot re-kill a revived broker.
     incarnation: u64,
+}
+
+impl BrokerHealth {
+    /// When the broker is next due a probe — a confirmation probe once
+    /// its connection has been down for `failover_after`, a revival
+    /// re-probe while it is dead, either no sooner than
+    /// `reprobe_interval` after the last one. `None` while it is healthy.
+    fn probe_at(&self, cfg: &RouterConfig, now: Instant) -> Option<Instant> {
+        let wanted = if self.dead {
+            now
+        } else {
+            self.down_since? + cfg.failover_after
+        };
+        let spaced = self.last_probe.map(|t| t + cfg.reprobe_interval);
+        Some(spaced.map_or(wanted, |s| s.max(wanted)))
+    }
 }
 
 struct Routing {
@@ -218,17 +325,30 @@ impl Routing {
     }
 }
 
-/// The plan-routed multi-broker client (see module docs).
-pub struct RoutedClient {
+/// What the caller-facing handle and the control thread share.
+struct Core {
     directory: Vec<SocketAddr>,
     cfg: RouterConfig,
     ring: Ring,
-    clients: Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    routing: Arc<Mutex<Routing>>,
+    clients: Mutex<HashMap<usize, Arc<TcpPubSubClient>>>,
+    routing: Mutex<Routing>,
+    /// What the workers' sinks hold too. Kept apart from `Core`: a sink
+    /// holding the client map that owns its own worker would be a cycle.
     shared: Arc<RouterShared>,
+    /// Feeds the queue `try_message` reads; cloned into every sink.
+    messages: mpsc::Sender<Message>,
+    /// Feeds the control thread; cloned into every sink.
+    inbox: mpsc::Sender<Inbox>,
+    /// Feeds the queue `try_event` reads.
+    events: mpsc::Sender<RouterEvent>,
+}
+
+/// The plan-routed multi-broker client (see module docs).
+pub struct RoutedClient {
+    core: Arc<Core>,
     messages: Mutex<mpsc::Receiver<Message>>,
     events: Mutex<mpsc::Receiver<RouterEvent>>,
-    pump: Option<JoinHandle<()>>,
+    control: Option<JoinHandle<()>>,
 }
 
 impl RoutedClient {
@@ -264,9 +384,12 @@ impl RoutedClient {
             stale_frames: AtomicU64::new(0),
             deaths: AtomicU64::new(0),
             repoints: AtomicU64::new(0),
+            dedup: Mutex::new(Dedup::new()),
+            alive: (0..directory.len())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
         });
-        let clients = Arc::new(Mutex::new(HashMap::new()));
-        let routing = Arc::new(Mutex::new(Routing {
+        let routing = Mutex::new(Routing {
             local_plan: HashMap::new(),
             desired: BTreeSet::new(),
             subscribed_on: BTreeMap::new(),
@@ -275,34 +398,47 @@ impl RoutedClient {
                 .map(|_| BrokerHealth::default())
                 .collect(),
             rng,
-        }));
+        });
         let (msg_tx, msg_rx) = mpsc::channel();
         let (event_tx, event_rx) = mpsc::channel();
-        let mut router = RoutedClient {
+        let (inbox_tx, inbox_rx) = mpsc::channel();
+        let core = Arc::new(Core {
             directory,
             cfg,
             ring,
-            clients,
+            clients: Mutex::new(HashMap::new()),
             routing,
             shared,
+            messages: msg_tx,
+            inbox: inbox_tx,
+            events: event_tx,
+        });
+        let control = std::thread::Builder::new()
+            .name("dm-router".into())
+            .spawn({
+                let core = Arc::clone(&core);
+                move || core.run(inbox_rx)
+            })
+            .expect("spawn dm-router thread");
+        RoutedClient {
+            core,
             messages: Mutex::new(msg_rx),
             events: Mutex::new(event_rx),
-            pump: None,
-        };
-        router.pump = Some(router.spawn_pump(msg_tx, event_tx));
-        router
+            control: Some(control),
+        }
     }
 
     /// Subscribes to `channel` on the brokers its current mapping
     /// demands; the subscription follows the channel across migrations.
     pub fn subscribe(&self, channel: &str) {
-        let mut routing = self.routing.lock();
+        let core = &self.core;
+        let mut routing = core.routing.lock();
         routing.desired.insert(channel.to_owned());
-        let mapping = self.resolve_locked(&mut routing, channel);
-        let mapping = route_around_dead(&self.ring, &routing, channel, &mapping);
-        let targets = self.subscribe_targets(&mut routing, channel, &mapping);
+        let mapping = core.resolve_locked(&mut routing, channel);
+        let mapping = route_around_dead(&core.ring, &routing, channel, &mapping);
+        let targets = subscribe_targets(&mut routing, channel, &mapping);
         for &idx in &targets {
-            self.client_for(idx).subscribe(channel);
+            core.client(idx).subscribe(channel);
         }
         routing
             .subscribed_on
@@ -311,11 +447,12 @@ impl RoutedClient {
 
     /// Unsubscribes `channel` everywhere it is currently subscribed.
     pub fn unsubscribe(&self, channel: &str) {
-        let mut routing = self.routing.lock();
+        let core = &self.core;
+        let mut routing = core.routing.lock();
         routing.desired.remove(channel);
         if let Some(brokers) = routing.subscribed_on.remove(channel) {
             for idx in brokers {
-                self.client_for(idx).unsubscribe(channel);
+                core.client(idx).unsubscribe(channel);
             }
         }
         // Lingering grace-period subscriptions go down immediately too.
@@ -329,16 +466,17 @@ impl RoutedClient {
             }
         });
         for idx in lingering {
-            self.client_for(idx).unsubscribe(channel);
+            core.client(idx).unsubscribe(channel);
         }
     }
 
     /// Publishes `body` on `channel`, routed per the channel's current
     /// mapping.
     pub fn publish(&self, channel: &str, body: &[u8]) {
-        let mut routing = self.routing.lock();
-        let mapping = self.resolve_locked(&mut routing, channel);
-        let mapping = route_around_dead(&self.ring, &routing, channel, &mapping);
+        let core = &self.core;
+        let mut routing = core.routing.lock();
+        let mapping = core.resolve_locked(&mut routing, channel);
+        let mapping = route_around_dead(&core.ring, &routing, channel, &mapping);
         let targets: Vec<usize> = match &mapping {
             ChannelMapping::Single(s) => vec![s.index()],
             // Empty replicated member lists are rejected at decode and
@@ -362,16 +500,16 @@ impl RoutedClient {
             // origins, so letting each frame its own id defeats every
             // dedup window downstream. Frame once here, send verbatim.
             let id = MessageId {
-                origin: self.shared.pub_origin,
-                seq: self.shared.pub_seq.fetch_add(1, Ordering::Relaxed),
+                origin: core.shared.pub_origin,
+                seq: core.shared.pub_seq.fetch_add(1, Ordering::Relaxed),
             };
             let framed = frame_payload(id, body);
             for idx in targets {
-                self.client_for(idx).publish_raw(channel, &framed);
+                core.client(idx).publish_raw(channel, &framed);
             }
         } else {
             for idx in targets {
-                self.client_for(idx).publish(channel, body);
+                core.client(idx).publish(channel, body);
             }
         }
     }
@@ -394,7 +532,7 @@ impl RoutedClient {
     /// The local plan's mapping for `channel`, if reconfiguration has
     /// taught this client one.
     pub fn local_mapping(&self, channel: &str) -> Option<(ChannelMapping, PlanId)> {
-        self.routing.lock().local_plan.get(channel).cloned()
+        self.core.routing.lock().local_plan.get(channel).cloned()
     }
 
     /// Pre-seeds the local plan with `mapping` for `channel` at version
@@ -405,7 +543,8 @@ impl RoutedClient {
     /// later control frame with a newer version overrides this entry
     /// exactly like any other local-plan record.
     pub fn install_local_mapping(&self, channel: &str, mapping: ChannelMapping, plan: PlanId) {
-        self.routing
+        self.core
+            .routing
             .lock()
             .local_plan
             .insert(channel.to_owned(), (mapping, plan));
@@ -413,33 +552,76 @@ impl RoutedClient {
 
     /// Counters so far.
     pub fn stats(&self) -> RouterStats {
-        let routing = self.routing.lock();
+        let shared = &self.core.shared;
+        let routing = self.core.routing.lock();
         RouterStats {
-            duplicates_suppressed: self.shared.duplicates.load(Ordering::Relaxed),
-            moved_applied: self.shared.moved_applied.load(Ordering::Relaxed),
-            switches_applied: self.shared.switches_applied.load(Ordering::Relaxed),
-            stale_control_frames: self.shared.stale_frames.load(Ordering::Relaxed),
-            connections: self.clients.lock().len(),
+            duplicates_suppressed: shared.duplicates.load(Ordering::Relaxed),
+            moved_applied: shared.moved_applied.load(Ordering::Relaxed),
+            switches_applied: shared.switches_applied.load(Ordering::Relaxed),
+            stale_control_frames: shared.stale_frames.load(Ordering::Relaxed),
+            connections: self.core.clients.lock().len(),
             local_plan_len: routing.local_plan.len(),
-            deaths_detected: self.shared.deaths.load(Ordering::Relaxed),
-            failover_repoints: self.shared.repoints.load(Ordering::Relaxed),
+            deaths_detected: shared.deaths.load(Ordering::Relaxed),
+            failover_repoints: shared.repoints.load(Ordering::Relaxed),
             dead_brokers: routing.dead_servers().iter().map(|s| s.index()).collect(),
         }
     }
 
-    /// Stops the pump and every underlying client.
+    /// Stops the control thread and every underlying client.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        if let Some(handle) = self.pump.take() {
+        self.core.shared.running.store(false, Ordering::SeqCst);
+        // The control thread may be blocked until a deadline seconds
+        // away, or for good.
+        let _ = self.core.inbox.send(Inbox::Wake);
+        if let Some(handle) = self.control.take() {
             let _ = handle.join();
         }
-        self.clients.lock().clear();
+        self.core.clients.lock().clear();
     }
+}
 
+impl Drop for RoutedClient {
+    fn drop(&mut self) {
+        if self.control.is_some() {
+            self.stop();
+        }
+    }
+}
+
+impl std::fmt::Debug for RoutedClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoutedClient")
+            .field("brokers", &self.core.directory.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Broker indices a subscriber of `channel` must sit on under `mapping`.
+/// The `AllPublishers` pick is remembered via `subscribed_on`, so
+/// repeated calls do not hop brokers.
+fn subscribe_targets(routing: &mut Routing, channel: &str, mapping: &ChannelMapping) -> Vec<usize> {
+    match mapping {
+        ChannelMapping::Single(s) => vec![s.index()],
+        ChannelMapping::AllSubscribers(v) => v.iter().map(|s| s.index()).collect(),
+        ChannelMapping::AllPublishers(v) if v.is_empty() => Vec::new(),
+        ChannelMapping::AllPublishers(v) => {
+            let members: BTreeSet<usize> = v.iter().map(|s| s.index()).collect();
+            if let Some(current) = routing.subscribed_on.get(channel) {
+                if let Some(&keep) = current.iter().find(|idx| members.contains(idx)) {
+                    return vec![keep];
+                }
+            }
+            let pick = routing.rng.next_below(v.len() as u64) as usize;
+            vec![v[pick].index()]
+        }
+    }
+}
+
+impl Core {
     /// Resolves `channel` through the local plan, then the ring. A ring
     /// fallback is recorded in the local plan at version 0 — a
     /// *provisional* entry. Provisional entries never win the staleness
@@ -466,361 +648,394 @@ impl RoutedClient {
         mapping
     }
 
-    /// Broker indices a subscriber of `channel` must sit on under
-    /// `mapping`. The `AllPublishers` pick is remembered via
-    /// `subscribed_on`, so repeated calls do not hop brokers.
-    fn subscribe_targets(
-        &self,
-        routing: &mut Routing,
-        channel: &str,
-        mapping: &ChannelMapping,
-    ) -> Vec<usize> {
-        match mapping {
-            ChannelMapping::Single(s) => vec![s.index()],
-            ChannelMapping::AllSubscribers(v) => v.iter().map(|s| s.index()).collect(),
-            ChannelMapping::AllPublishers(v) if v.is_empty() => Vec::new(),
-            ChannelMapping::AllPublishers(v) => {
-                let members: BTreeSet<usize> = v.iter().map(|s| s.index()).collect();
-                if let Some(current) = routing.subscribed_on.get(channel) {
-                    if let Some(&keep) = current.iter().find(|idx| members.contains(idx)) {
-                        return vec![keep];
-                    }
-                }
-                let pick = routing.rng.next_below(v.len() as u64) as usize;
-                vec![v[pick].index()]
-            }
-        }
-    }
-
-    /// The lazily created client for broker `idx`; on creation it also
-    /// subscribes its private control channel, so sidecars can reach
-    /// this router on that broker.
-    fn client_for(&self, idx: usize) -> Arc<TcpPubSubClient> {
+    /// The lazily created client for broker `idx`. Its worker delivers
+    /// through a [`RouterSink`]; on creation it also subscribes its
+    /// private control channel, so sidecars can reach this router on
+    /// that broker.
+    fn client(&self, idx: usize) -> Arc<TcpPubSubClient> {
         let mut clients = self.clients.lock();
-        if let Some(c) = clients.get(&idx) {
-            return Arc::clone(c);
-        }
-        let client = Arc::new(connect_broker(
-            &self.directory,
-            idx,
-            &self.cfg.client,
-            self.cfg.seed,
-        ));
-        client.subscribe(&control_channel(client.origin()));
-        clients.insert(idx, Arc::clone(&client));
-        Arc::clone(&client)
+        let client = clients.entry(idx).or_insert_with(|| {
+            let mut cfg = self.cfg.client.clone();
+            // Decorrelate per-broker client seeds: identical seeds would
+            // mean identical origins, colliding wire-id sequence spaces
+            // and a shared control channel across connections.
+            cfg.seed = self.cfg.seed.map(|s| {
+                SplitMix64::new(s ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
+            });
+            let client =
+                TcpPubSubClient::connect_sink(self.directory[idx], cfg, |origin| RouterSink {
+                    broker: idx,
+                    control: control_channel(origin),
+                    dedup_window: self.cfg.dedup_window,
+                    shared: Arc::clone(&self.shared),
+                    messages: self.messages.clone(),
+                    inbox: self.inbox.clone(),
+                    got_message: false,
+                });
+            client.subscribe(&control_channel(client.origin()));
+            Arc::new(client)
+        });
+        Arc::clone(client)
     }
 
-    fn spawn_pump(
-        &self,
-        msg_tx: mpsc::Sender<Message>,
-        event_tx: mpsc::Sender<RouterEvent>,
-    ) -> JoinHandle<()> {
-        let shared = Arc::clone(&self.shared);
-        let clients = Arc::clone(&self.clients);
-        let routing = Arc::clone(&self.routing);
-        let directory = self.directory.clone();
-        let cfg = self.cfg.clone();
-        let ring = self.ring.clone();
-        std::thread::spawn(move || {
-            let mut dedup = Dedup::new();
-            while shared.running.load(Ordering::SeqCst) {
-                let snapshot: Vec<(usize, Arc<TcpPubSubClient>)> = clients
-                    .lock()
-                    .iter()
-                    .map(|(&i, c)| (i, Arc::clone(c)))
-                    .collect();
-                for (idx, client) in snapshot {
-                    while let Some(event) = client.try_event() {
-                        note_event(&routing, idx, &event);
+    /// The control thread: blocks on the inbox until the next deadline,
+    /// applies what arrived, then runs the timers.
+    fn run(&self, inbox: mpsc::Receiver<Inbox>) {
+        let running = || self.shared.running.load(Ordering::SeqCst);
+        while running() {
+            let first = match self.next_deadline() {
+                Some(at) => inbox
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                    .ok(),
+                None => inbox.recv().ok(),
+            };
+            for item in first.into_iter().chain(inbox.try_iter()) {
+                if !running() {
+                    return;
+                }
+                match item {
+                    Inbox::Event { broker, event } => {
+                        self.note_event(broker, &event);
                         if matches!(event, ClientEvent::GaveUp) {
                             // The connection exhausted its whole retry
                             // budget: treat as death without waiting out
                             // the failover timer.
-                            declare_dead(
-                                &shared, &clients, &routing, &directory, &cfg, &ring, &event_tx,
-                                idx, None,
-                            );
+                            self.declare_dead(broker, None);
                         }
-                        let _ = event_tx.send(RouterEvent { broker: idx, event });
+                        let _ = self.events.send(RouterEvent { broker, event });
                     }
-                    let mut got_data = false;
-                    while let Some(msg) = client.try_message() {
-                        got_data = true;
-                        pump_handle(
-                            &shared, &clients, &routing, &directory, &cfg, &ring, &mut dedup,
-                            &client, msg, &msg_tx, &event_tx,
-                        );
-                    }
-                    if got_data {
-                        mark_alive(&routing, idx);
-                    }
+                    Inbox::Control(frame) => self.apply_control(&frame),
+                    Inbox::Wake => {}
                 }
-                check_health(
-                    &shared, &clients, &routing, &directory, &cfg, &ring, &event_tx,
-                );
-                drain_pending_unsubs(&clients, &routing);
-                std::thread::sleep(cfg.tick);
             }
-        })
-    }
-}
-
-impl Drop for RoutedClient {
-    fn drop(&mut self) {
-        if self.pump.is_some() {
-            self.stop();
+            self.check_health();
+            self.drain_pending_unsubs();
         }
     }
-}
 
-impl std::fmt::Debug for RoutedClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RoutedClient")
-            .field("brokers", &self.directory.len())
-            .finish_non_exhaustive()
+    /// When the control thread next has something to do unprompted: the
+    /// earliest grace-period unsubscribe, confirmation probe or revival
+    /// re-probe. `None` while every broker is healthy and no switch is
+    /// in its grace period.
+    fn next_deadline(&self) -> Option<Instant> {
+        let now = Instant::now();
+        let r = self.routing.lock();
+        let unsubs = r.pending_unsubs.iter().map(|(due, _, _)| *due);
+        let probes = r.health.iter().filter_map(|h| h.probe_at(&self.cfg, now));
+        unsubs.chain(probes).min()
     }
-}
 
-fn connect_broker(
-    directory: &[SocketAddr],
-    idx: usize,
-    base: &ClientConfig,
-    seed: Option<u64>,
-) -> TcpPubSubClient {
-    let mut cfg = base.clone();
-    // Decorrelate per-broker client seeds: identical seeds would mean
-    // identical origins, colliding wire-id sequence spaces and a shared
-    // control channel across connections.
-    cfg.seed = seed.map(|s| {
-        let mut mixer = SplitMix64::new(s ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        mixer.next_u64()
-    });
-    TcpPubSubClient::connect_addr(directory[idx], cfg)
-}
+    /// Applies a `Moved`/`Switch` to the local plan and re-points any
+    /// affected subscription — new brokers first, old ones after, so the
+    /// subscription windows overlap.
+    fn apply_control(&self, frame: &ControlFrame) {
+        // Quarantine entries piggy-backed on control frames are the
+        // balancer's already-probed death verdicts: adopt them immediately
+        // instead of waiting out the local failover timer. Incarnation
+        // numbers deduplicate — a stale frame replaying an old death cannot
+        // re-kill a broker that has since revived.
+        for q in frame.quarantine() {
+            if q.broker < self.directory.len() {
+                self.declare_dead(q.broker, Some(q.incarnation));
+            }
+        }
+        let channel = frame.channel().to_owned();
+        let mapping = frame.mapping().clone();
+        let plan = frame.plan();
+        if mapping.servers().is_empty() {
+            return; // a mapping with no members cannot route anything
+        }
+        if mapping
+            .servers()
+            .iter()
+            .any(|s| s.index() >= self.directory.len())
+        {
+            return; // frame references brokers outside the directory
+        }
 
-/// Handles one delivered frame inside the pump thread: control frames
-/// update the local plan, application messages pass the router-level
-/// dedup window and surface to the caller.
-#[allow(clippy::too_many_arguments)]
-fn pump_handle(
-    shared: &Arc<RouterShared>,
-    clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    routing: &Arc<Mutex<Routing>>,
-    directory: &[SocketAddr],
-    cfg: &RouterConfig,
-    ring: &Ring,
-    dedup: &mut Dedup,
-    via: &Arc<TcpPubSubClient>,
-    msg: Message,
-    msg_tx: &mpsc::Sender<Message>,
-    event_tx: &mpsc::Sender<RouterEvent>,
-) {
-    let on_control_channel = msg.channel == control_channel(via.origin());
-    if let Some(frame) = ControlFrame::decode(&msg.payload) {
-        let applies = match &frame {
-            ControlFrame::Moved { .. } => on_control_channel,
-            ControlFrame::Switch { channel, .. } => *channel == msg.channel,
+        let mut r = self.routing.lock();
+        if let Some((_, known)) = r.local_plan.get(&channel) {
+            // Version-0 entries are provisional (ring fallback or bootstrap
+            // frames): they record what this client *assumed*, not what any
+            // plan decreed, so they must never shadow a real migration — in
+            // particular the first Moved/Switch for a ring-resolved channel
+            // may itself carry version 0 and must still apply.
+            if *known >= plan && *known != PlanId(0) {
+                self.shared.stale_frames.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
+        r.local_plan
+            .insert(channel.clone(), (mapping.clone(), plan));
+        match frame {
+            ControlFrame::Moved { .. } => self.shared.moved_applied.fetch_add(1, Ordering::Relaxed),
+            ControlFrame::Switch { .. } => {
+                self.shared.switches_applied.fetch_add(1, Ordering::Relaxed)
+            }
         };
-        if applies {
-            apply_control(
-                shared, clients, routing, directory, cfg, ring, event_tx, &frame,
-            );
+
+        if !r.desired.contains(&channel) {
             return;
         }
-        // A control frame on the wrong channel is application payload
-        // that merely looks like one; fall through and deliver it.
-    }
-    if on_control_channel {
-        return; // junk on the private channel; nothing to deliver
-    }
-    if let Some(id) = msg.id {
-        if !dedup.insert(id, cfg.dedup_window) {
-            shared.duplicates.fetch_add(1, Ordering::Relaxed);
-            return;
+        // Re-point the subscription: subscribe on the new target set before
+        // unsubscribing brokers that fell out of it.
+        let current: BTreeSet<usize> =
+            r.subscribed_on.get(&channel).cloned().unwrap_or_else(|| {
+                // Subscribed before any plan entry existed: the ring told us
+                // where.
+                let mut set = BTreeSet::new();
+                set.insert(self.ring.server_for(channel_id_of(&channel)).index());
+                set
+            });
+        let wanted: BTreeSet<usize> = match &mapping {
+            ChannelMapping::Single(s) => [s.index()].into(),
+            ChannelMapping::AllSubscribers(v) => v.iter().map(|s| s.index()).collect(),
+            ChannelMapping::AllPublishers(v) => {
+                if let Some(&keep) = current.iter().find(|i| v.iter().any(|s| s.index() == **i)) {
+                    [keep].into()
+                } else {
+                    let pick = r.rng.next_below(v.len() as u64) as usize;
+                    [v[pick].index()].into()
+                }
+            }
+        };
+        // Brokers entering the target set are subscribed *from sequence 0*:
+        // the channel's sequence space on its new home starts at the
+        // migration, so the replay is exactly the post-migration suffix —
+        // which is how a client that was offline across the `<switch>`
+        // still recovers everything published to the new home while it was
+        // away. Frames the client did see (live before the outage, or via
+        // the sidecar's forwarding window) carry their original wire ids
+        // and dedup away. A channel returning to a broker it once lived on
+        // may replay pre-migration history too; those re-deliveries are
+        // bounded by the retention ring and largely absorbed by the dedup
+        // windows — the trade for never losing the suffix silently.
+        for &idx in wanted.difference(&current) {
+            self.client(idx).subscribe_from(&channel, 0);
         }
-    }
-    let _ = msg_tx.send(msg);
-}
-
-/// Applies a `Moved`/`Switch` to the local plan and re-points any
-/// affected subscription — new brokers first, old ones after, so the
-/// subscription windows overlap.
-#[allow(clippy::too_many_arguments)]
-fn apply_control(
-    shared: &Arc<RouterShared>,
-    clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    routing: &Arc<Mutex<Routing>>,
-    directory: &[SocketAddr],
-    cfg: &RouterConfig,
-    ring: &Ring,
-    event_tx: &mpsc::Sender<RouterEvent>,
-    frame: &ControlFrame,
-) {
-    // Quarantine entries piggy-backed on control frames are the
-    // balancer's already-probed death verdicts: adopt them immediately
-    // instead of waiting out the local failover timer. Incarnation
-    // numbers deduplicate — a stale frame replaying an old death cannot
-    // re-kill a broker that has since revived.
-    for q in frame.quarantine() {
-        if q.broker < directory.len() {
-            declare_dead(
-                shared,
-                clients,
-                routing,
-                directory,
-                cfg,
-                ring,
-                event_tx,
-                q.broker,
-                Some(q.incarnation),
-            );
+        // Superseded brokers are not unsubscribed yet: the new subscriptions
+        // may ride connections still being established, so the old ones
+        // linger for `switch_grace` (double deliveries dedup away).
+        let due = Instant::now() + self.cfg.switch_grace;
+        for &idx in current.difference(&wanted) {
+            r.pending_unsubs.push((due, idx, channel.clone()));
         }
-    }
-    let channel = frame.channel().to_owned();
-    let mapping = frame.mapping().clone();
-    let plan = frame.plan();
-    if mapping.servers().is_empty() {
-        return; // a mapping with no members cannot route anything
-    }
-    if mapping
-        .servers()
-        .iter()
-        .any(|s| s.index() >= directory.len())
-    {
-        return; // frame references brokers outside the directory
+        r.subscribed_on.insert(channel, wanted);
     }
 
-    let mut r = routing.lock();
-    if let Some((_, known)) = r.local_plan.get(&channel) {
-        // Version-0 entries are provisional (ring fallback or bootstrap
-        // frames): they record what this client *assumed*, not what any
-        // plan decreed, so they must never shadow a real migration — in
-        // particular the first Moved/Switch for a ring-resolved channel
-        // may itself carry version 0 and must still apply.
-        if *known >= plan && *known != PlanId(0) {
-            shared.stale_frames.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    r.local_plan
-        .insert(channel.clone(), (mapping.clone(), plan));
-    match frame {
-        ControlFrame::Moved { .. } => shared.moved_applied.fetch_add(1, Ordering::Relaxed),
-        ControlFrame::Switch { .. } => shared.switches_applied.fetch_add(1, Ordering::Relaxed),
-    };
-
-    if !r.desired.contains(&channel) {
-        return;
-    }
-    // Re-point the subscription: subscribe on the new target set before
-    // unsubscribing brokers that fell out of it.
-    let current: BTreeSet<usize> = r.subscribed_on.get(&channel).cloned().unwrap_or_else(|| {
-        // Subscribed before any plan entry existed: the ring told us
-        // where.
-        let mut set = BTreeSet::new();
-        set.insert(ring.server_for(channel_id_of(&channel)).index());
-        set
-    });
-    let wanted: BTreeSet<usize> = match &mapping {
-        ChannelMapping::Single(s) => [s.index()].into(),
-        ChannelMapping::AllSubscribers(v) => v.iter().map(|s| s.index()).collect(),
-        ChannelMapping::AllPublishers(v) => {
-            if let Some(&keep) = current.iter().find(|i| v.iter().any(|s| s.index() == **i)) {
-                [keep].into()
+    /// Unsubscribes superseded subscriptions whose grace period lapsed,
+    /// unless a later switch re-pointed the channel back at that broker.
+    fn drain_pending_unsubs(&self) {
+        let now = Instant::now();
+        let mut r = self.routing.lock();
+        let mut due = Vec::new();
+        r.pending_unsubs.retain(|entry| {
+            if entry.0 <= now {
+                due.push((entry.1, entry.2.clone()));
+                false
             } else {
-                let pick = r.rng.next_below(v.len() as u64) as usize;
-                [v[pick].index()].into()
+                true
+            }
+        });
+        for (idx, channel) in due {
+            let wanted_again = r
+                .subscribed_on
+                .get(&channel)
+                .is_some_and(|set| set.contains(&idx));
+            if wanted_again {
+                continue;
+            }
+            if let Some(client) = self.clients.lock().get(&idx) {
+                client.unsubscribe(&channel);
             }
         }
-    };
-    // Brokers entering the target set are subscribed *from sequence 0*:
-    // the channel's sequence space on its new home starts at the
-    // migration, so the replay is exactly the post-migration suffix —
-    // which is how a client that was offline across the `<switch>`
-    // still recovers everything published to the new home while it was
-    // away. Frames the client did see (live before the outage, or via
-    // the sidecar's forwarding window) carry their original wire ids
-    // and dedup away. A channel returning to a broker it once lived on
-    // may replay pre-migration history too; those re-deliveries are
-    // bounded by the retention ring and largely absorbed by the dedup
-    // windows — the trade for never losing the suffix silently.
-    for &idx in wanted.difference(&current) {
-        subscribe_via(clients, directory, cfg, idx, &channel, Some(0));
     }
-    // Superseded brokers are not unsubscribed yet: the new subscriptions
-    // may ride connections still being established, so the old ones
-    // linger for `switch_grace` (double deliveries dedup away).
-    let due = Instant::now() + cfg.switch_grace;
-    for &idx in current.difference(&wanted) {
-        r.pending_unsubs.push((due, idx, channel.clone()));
-    }
-    r.subscribed_on.insert(channel, wanted);
-}
 
-/// Unsubscribes superseded subscriptions whose grace period lapsed,
-/// unless a later switch re-pointed the channel back at that broker.
-fn drain_pending_unsubs(
-    clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    routing: &Arc<Mutex<Routing>>,
-) {
-    let now = Instant::now();
-    let mut r = routing.lock();
-    let mut due = Vec::new();
-    r.pending_unsubs.retain(|entry| {
-        if entry.0 <= now {
-            due.push((entry.1, entry.2.clone()));
-            false
-        } else {
-            true
-        }
-    });
-    for (idx, channel) in due {
-        let wanted_again = r
-            .subscribed_on
-            .get(&channel)
-            .is_some_and(|set| set.contains(&idx));
-        if wanted_again {
-            continue;
-        }
-        if let Some(client) = clients.lock().get(&idx) {
-            client.unsubscribe(&channel);
+    /// Folds the data plane's liveness evidence into the health view:
+    /// a message arrived from the broker, so it is alive, whatever the
+    /// timers say.
+    fn fold_alive(&self, r: &mut Routing) {
+        for (h, alive) in r.health.iter_mut().zip(&self.shared.alive) {
+            if alive.swap(false, Ordering::Relaxed) {
+                h.down_since = None;
+                h.dead = false;
+            }
         }
     }
-}
 
-/// `client_for`, callable from the pump thread (which has no
-/// `&RoutedClient`): the lazily created client for broker `idx`,
-/// control-channel subscription included.
-fn client_via(
-    clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    directory: &[SocketAddr],
-    cfg: &RouterConfig,
-    idx: usize,
-) -> Arc<TcpPubSubClient> {
-    let mut map = clients.lock();
-    let client = map.entry(idx).or_insert_with(|| {
-        let c = Arc::new(connect_broker(directory, idx, &cfg.client, cfg.seed));
-        c.subscribe(&control_channel(c.origin()));
-        c
-    });
-    Arc::clone(client)
-}
+    /// Folds one client event into the broker's health view. `Connected`
+    /// is deliberately *not* alive-evidence: a hard-killed proxy (or
+    /// half-dead host) can complete TCP handshakes forever while serving
+    /// nothing, so only delivered data or a successful resume resets the
+    /// failover timer.
+    fn note_event(&self, idx: usize, event: &ClientEvent) {
+        let mut r = self.routing.lock();
+        // A worker records evidence before it emits a later event, so
+        // whatever is flagged by now precedes this event.
+        self.fold_alive(&mut r);
+        let h = &mut r.health[idx];
+        match event {
+            ClientEvent::Disconnected { .. } if h.down_since.is_none() && !h.dead => {
+                h.down_since = Some(Instant::now());
+            }
+            ClientEvent::Resumed { .. } => {
+                h.down_since = None;
+                h.dead = false;
+            }
+            _ => {}
+        }
+    }
 
-/// `client_for` + `subscribe`/`subscribe_from`, callable from the pump
-/// thread (which has no `&RoutedClient`).
-fn subscribe_via(
-    clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    directory: &[SocketAddr],
-    cfg: &RouterConfig,
-    idx: usize,
-    channel: &str,
-    from: Option<u64>,
-) {
-    let client = client_via(clients, directory, cfg, idx);
-    match from {
-        Some(f) => client.subscribe_from(channel, f),
-        None => client.subscribe(channel),
+    /// Runs the suspect/probe half of failure detection: connections down
+    /// past `failover_after` get a confirmation probe (failure ⇒ death;
+    /// success ⇒ the broker is up and our client just needs to reconnect,
+    /// so failing over would split routing for nothing), and dead brokers
+    /// get a revival re-probe.
+    fn check_health(&self) {
+        let now = Instant::now();
+        let mut to_probe: Vec<(usize, bool)> = Vec::new();
+        {
+            let mut r = self.routing.lock();
+            self.fold_alive(&mut r);
+            for (idx, h) in r.health.iter_mut().enumerate() {
+                if h.probe_at(&self.cfg, now).is_some_and(|at| at <= now) {
+                    h.last_probe = Some(now);
+                    to_probe.push((idx, h.dead));
+                }
+            }
+        }
+        for (idx, was_dead) in to_probe {
+            let alive =
+                TcpStream::connect_timeout(&self.directory[idx], self.cfg.probe_timeout).is_ok();
+            if was_dead && alive {
+                // Revived: lift the death mark so routing may use the broker
+                // again (subscriptions moved away stay put until control
+                // frames re-point them).
+                let mut r = self.routing.lock();
+                let h = &mut r.health[idx];
+                h.dead = false;
+                h.down_since = None;
+            } else if !was_dead && !alive {
+                self.declare_dead(idx, None);
+            }
+        }
+    }
+
+    /// Declares broker `idx` dead: re-points every subscription whose only
+    /// home it was to the ring-exclusion fallback (surfacing a synthetic
+    /// [`ClientEvent::Gap`] with [`GapReason::Failover`] — the new home's
+    /// sequence stream is a fresh incarnation, so the discontinuity is
+    /// explicit and `missed` is zero because it is unquantifiable), and
+    /// rescues the dead connection's queued publications onto survivors.
+    /// `incarnation` carries a balancer-declared death's incarnation number
+    /// for dedup; local verdicts (probe failure, `GaveUp`) pass `None`.
+    ///
+    /// Control thread only: it joins broker `idx`'s worker.
+    fn declare_dead(&self, idx: usize, incarnation: Option<u64>) {
+        // Phase 1 under the routing lock: flip the health state and re-point
+        // stranded subscriptions.
+        let corpse = {
+            let mut guard = self.routing.lock();
+            let r = &mut *guard;
+            let h = &mut r.health[idx];
+            if let Some(inc) = incarnation {
+                if inc <= h.incarnation {
+                    return; // stale replay of a death we already handled
+                }
+                h.incarnation = inc;
+            }
+            if h.dead {
+                return;
+            }
+            h.dead = true;
+            h.down_since = None;
+            self.shared.deaths.fetch_add(1, Ordering::Relaxed);
+            let dead = r.dead_servers();
+            // Take the corpse's client out of the map: stops its reconnect
+            // spin and frees its queued publications for rescue below. The
+            // broker re-appearing later just lazily reconnects.
+            let corpse = self.clients.lock().remove(&idx);
+            let stranded: Vec<String> = r
+                .desired
+                .iter()
+                .filter(|ch| {
+                    r.subscribed_on
+                        .get(*ch)
+                        .is_some_and(|set| set.contains(&idx))
+                })
+                .cloned()
+                .collect();
+            for channel in stranded {
+                // Filtered on membership above, but stay panic-free if the
+                // map shifts between the two passes.
+                let Some(set) = r.subscribed_on.get_mut(&channel) else {
+                    continue;
+                };
+                set.remove(&idx);
+                if !set.is_empty() {
+                    continue; // replicated elsewhere; surviving members cover it
+                }
+                let Some(target) = self
+                    .ring
+                    .server_for_excluding(channel_id_of(&channel), &dead)
+                else {
+                    continue; // every broker dead; nothing to re-point to
+                };
+                set.insert(target.index());
+                // Provisional entry (version 0): the emergency replan's
+                // Switch/Moved frames override it the moment they arrive.
+                r.local_plan
+                    .insert(channel.clone(), (ChannelMapping::Single(target), PlanId(0)));
+                self.client(target.index()).subscribe_from(&channel, 0);
+                self.shared.repoints.fetch_add(1, Ordering::Relaxed);
+                // Sequences are per-broker-incarnation: continuity with the
+                // dead home's stream is impossible, so surface the
+                // discontinuity explicitly instead of resuming silently.
+                let _ = self.events.send(RouterEvent {
+                    broker: idx,
+                    event: ClientEvent::Gap {
+                        channel,
+                        missed: 0,
+                        reason: GapReason::Failover,
+                    },
+                });
+            }
+            corpse
+        };
+        // Phase 2 off the lock: rescue publications the dead connection had
+        // queued or unconfirmed, re-routing each onto a live broker. Wire
+        // ids are preserved, so any frame that did land before the death is
+        // absorbed by the receive-side dedup windows.
+        if let Some(corpse) = corpse {
+            let rescued = corpse.take_unsent(Duration::from_millis(500));
+            drop(corpse);
+            for (channel, framed) in rescued {
+                let target = {
+                    let mut r = self.routing.lock();
+                    let mapping = r
+                        .local_plan
+                        .get(&channel)
+                        .map(|(m, _)| m.clone())
+                        .unwrap_or_else(|| {
+                            ChannelMapping::Single(self.ring.server_for(channel_id_of(&channel)))
+                        });
+                    match route_around_dead(&self.ring, &r, &channel, &mapping) {
+                        ChannelMapping::Single(s) => Some(s.index()),
+                        ChannelMapping::AllSubscribers(v) => {
+                            let pick = r.rng.next_below(v.len() as u64) as usize;
+                            Some(v[pick].index())
+                        }
+                        ChannelMapping::AllPublishers(v) => v.first().map(|s| s.index()),
+                    }
+                };
+                if let Some(target) = target {
+                    self.client(target).publish_raw(&channel, &framed);
+                }
+            }
+        }
+        // Whatever the corpse's worker delivered before it was joined
+        // predates the verdict and must not lift it.
+        self.shared.alive[idx].store(false, Ordering::Relaxed);
     }
 }
 
@@ -861,208 +1076,6 @@ fn route_around_dead(
         ChannelMapping::Single(_) => ChannelMapping::Single(live[0]),
         ChannelMapping::AllSubscribers(_) => ChannelMapping::AllSubscribers(live),
         ChannelMapping::AllPublishers(_) => ChannelMapping::AllPublishers(live),
-    }
-}
-
-/// Folds one client event into the broker's health view. `Connected` is
-/// deliberately *not* alive-evidence: a hard-killed proxy (or half-dead
-/// host) can complete TCP handshakes forever while serving nothing, so
-/// only delivered data or a successful resume resets the failover timer.
-fn note_event(routing: &Arc<Mutex<Routing>>, idx: usize, event: &ClientEvent) {
-    let mut r = routing.lock();
-    let h = &mut r.health[idx];
-    match event {
-        ClientEvent::Disconnected { .. } if h.down_since.is_none() && !h.dead => {
-            h.down_since = Some(Instant::now());
-        }
-        ClientEvent::Resumed { .. } => {
-            h.down_since = None;
-            h.dead = false;
-        }
-        _ => {}
-    }
-}
-
-/// Data arrived from broker `idx`: it is alive, whatever the timers say.
-fn mark_alive(routing: &Arc<Mutex<Routing>>, idx: usize) {
-    let mut r = routing.lock();
-    let h = &mut r.health[idx];
-    h.down_since = None;
-    h.dead = false;
-}
-
-/// Runs the suspect/probe half of failure detection: connections down
-/// past `failover_after` get a confirmation probe (failure ⇒ death;
-/// success ⇒ the broker is up and our client just needs to reconnect,
-/// so failing over would split routing for nothing), and dead brokers
-/// get a revival re-probe.
-#[allow(clippy::too_many_arguments)]
-fn check_health(
-    shared: &Arc<RouterShared>,
-    clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    routing: &Arc<Mutex<Routing>>,
-    directory: &[SocketAddr],
-    cfg: &RouterConfig,
-    ring: &Ring,
-    event_tx: &mpsc::Sender<RouterEvent>,
-) {
-    let now = Instant::now();
-    let mut to_probe: Vec<(usize, bool)> = Vec::new();
-    {
-        let mut r = routing.lock();
-        for (idx, h) in r.health.iter_mut().enumerate() {
-            let due = h
-                .last_probe
-                .is_none_or(|t| now.duration_since(t) >= cfg.reprobe_interval);
-            if !due {
-                continue;
-            }
-            if h.dead {
-                h.last_probe = Some(now);
-                to_probe.push((idx, true));
-            } else if let Some(since) = h.down_since {
-                if now.duration_since(since) >= cfg.failover_after {
-                    h.last_probe = Some(now);
-                    to_probe.push((idx, false));
-                }
-            }
-        }
-    }
-    for (idx, was_dead) in to_probe {
-        let alive = TcpStream::connect_timeout(&directory[idx], cfg.probe_timeout).is_ok();
-        if was_dead && alive {
-            // Revived: lift the death mark so routing may use the broker
-            // again (subscriptions moved away stay put until control
-            // frames re-point them).
-            let mut r = routing.lock();
-            let h = &mut r.health[idx];
-            h.dead = false;
-            h.down_since = None;
-        } else if !was_dead && !alive {
-            declare_dead(
-                shared, clients, routing, directory, cfg, ring, event_tx, idx, None,
-            );
-        }
-    }
-}
-
-/// Declares broker `idx` dead: re-points every subscription whose only
-/// home it was to the ring-exclusion fallback (surfacing a synthetic
-/// [`ClientEvent::Gap`] with [`GapReason::Failover`] — the new home's
-/// sequence stream is a fresh incarnation, so the discontinuity is
-/// explicit and `missed` is zero because it is unquantifiable), and
-/// rescues the dead connection's queued publications onto survivors.
-/// `incarnation` carries a balancer-declared death's incarnation number
-/// for dedup; local verdicts (probe failure, `GaveUp`) pass `None`.
-#[allow(clippy::too_many_arguments)]
-fn declare_dead(
-    shared: &Arc<RouterShared>,
-    clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
-    routing: &Arc<Mutex<Routing>>,
-    directory: &[SocketAddr],
-    cfg: &RouterConfig,
-    ring: &Ring,
-    event_tx: &mpsc::Sender<RouterEvent>,
-    idx: usize,
-    incarnation: Option<u64>,
-) {
-    // Phase 1 under the routing lock: flip the health state and re-point
-    // stranded subscriptions.
-    let corpse = {
-        let mut guard = routing.lock();
-        let r = &mut *guard;
-        let h = &mut r.health[idx];
-        if let Some(inc) = incarnation {
-            if inc <= h.incarnation {
-                return; // stale replay of a death we already handled
-            }
-            h.incarnation = inc;
-        }
-        if h.dead {
-            return;
-        }
-        h.dead = true;
-        h.down_since = None;
-        shared.deaths.fetch_add(1, Ordering::Relaxed);
-        let dead = r.dead_servers();
-        // Take the corpse's client out of the map: stops its reconnect
-        // spin and frees its queued publications for rescue below. The
-        // broker re-appearing later just lazily reconnects.
-        let corpse = clients.lock().remove(&idx);
-        let stranded: Vec<String> = r
-            .desired
-            .iter()
-            .filter(|ch| {
-                r.subscribed_on
-                    .get(*ch)
-                    .is_some_and(|set| set.contains(&idx))
-            })
-            .cloned()
-            .collect();
-        for channel in stranded {
-            // Filtered on membership above, but stay panic-free if the
-            // map shifts between the two passes.
-            let Some(set) = r.subscribed_on.get_mut(&channel) else {
-                continue;
-            };
-            set.remove(&idx);
-            if !set.is_empty() {
-                continue; // replicated elsewhere; surviving members cover it
-            }
-            let Some(target) = ring.server_for_excluding(channel_id_of(&channel), &dead) else {
-                continue; // every broker dead; nothing to re-point to
-            };
-            set.insert(target.index());
-            // Provisional entry (version 0): the emergency replan's
-            // Switch/Moved frames override it the moment they arrive.
-            r.local_plan
-                .insert(channel.clone(), (ChannelMapping::Single(target), PlanId(0)));
-            subscribe_via(clients, directory, cfg, target.index(), &channel, Some(0));
-            shared.repoints.fetch_add(1, Ordering::Relaxed);
-            // Sequences are per-broker-incarnation: continuity with the
-            // dead home's stream is impossible, so surface the
-            // discontinuity explicitly instead of resuming silently.
-            let _ = event_tx.send(RouterEvent {
-                broker: idx,
-                event: ClientEvent::Gap {
-                    channel,
-                    missed: 0,
-                    reason: GapReason::Failover,
-                },
-            });
-        }
-        corpse
-    };
-    // Phase 2 off the lock: rescue publications the dead connection had
-    // queued or unconfirmed, re-routing each onto a live broker. Wire
-    // ids are preserved, so any frame that did land before the death is
-    // absorbed by the receive-side dedup windows.
-    if let Some(corpse) = corpse {
-        let rescued = corpse.take_unsent(Duration::from_millis(500));
-        drop(corpse);
-        for (channel, framed) in rescued {
-            let target = {
-                let mut r = routing.lock();
-                let mapping = r
-                    .local_plan
-                    .get(&channel)
-                    .map(|(m, _)| m.clone())
-                    .unwrap_or_else(|| {
-                        ChannelMapping::Single(ring.server_for(channel_id_of(&channel)))
-                    });
-                match route_around_dead(ring, &r, &channel, &mapping) {
-                    ChannelMapping::Single(s) => Some(s.index()),
-                    ChannelMapping::AllSubscribers(v) => {
-                        let pick = r.rng.next_below(v.len() as u64) as usize;
-                        Some(v[pick].index())
-                    }
-                    ChannelMapping::AllPublishers(v) => v.first().map(|s| s.index()),
-                }
-            };
-            if let Some(target) = target {
-                client_via(clients, directory, cfg, target).publish_raw(&channel, &framed);
-            }
-        }
     }
 }
 

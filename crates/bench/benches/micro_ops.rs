@@ -184,6 +184,7 @@ fn bench_algorithms(c: &mut Criterion) {
                     &mut view,
                     &ring,
                     &cfg,
+                    &[],
                 ))
             },
             BatchSize::SmallInput,

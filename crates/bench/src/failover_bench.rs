@@ -133,7 +133,6 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
                     ttl: Duration::from_secs(30),
                     tick: Duration::from_millis(5),
                     client: bench_client(seed ^ (0x50 + i as u64)),
-                    ..SidecarConfig::default()
                 },
             )
         })
@@ -386,31 +385,4 @@ pub fn write_failover_json(mut w: impl IoWrite, rows: &[FailoverBenchRow]) -> st
     }
     writeln!(w, "  ]")?;
     writeln!(w, "}}")
-}
-
-/// Prints a series as CSV.
-pub fn write_failover_csv(mut w: impl IoWrite, rows: &[FailoverBenchRow]) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "suspect_after,report_interval_ms,kill_to_dead_ms,detect_bound_ms,kill_to_gap_ms,\
-         kill_to_recovered_ms,published,delivered,channels_moved,max_survivor_lr,cap_ratio"
-    )?;
-    for r in rows {
-        writeln!(
-            w,
-            "{},{:.0},{:.2},{:.0},{:.2},{:.2},{},{},{},{:.4},{:.4}",
-            r.suspect_after,
-            r.report_interval_ms,
-            r.kill_to_dead_ms,
-            r.detect_bound_ms,
-            r.kill_to_gap_ms,
-            r.kill_to_recovered_ms,
-            r.published,
-            r.delivered,
-            r.channels_moved,
-            r.max_survivor_lr,
-            r.cap_ratio,
-        )?;
-    }
-    Ok(())
 }

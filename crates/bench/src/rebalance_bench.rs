@@ -560,35 +560,3 @@ pub fn write_rebalance_json(
     writeln!(w, "  ]")?;
     writeln!(w, "}}")
 }
-
-/// Prints a series as CSV.
-pub fn write_rebalance_csv(mut w: impl IoWrite, rows: &[RebalanceBenchRow]) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "offered_per_s,rebalancing,zipf_names,placement_pass,publish_secs,published,\
-         delivered,delivery_ratio,mean_ms,p99_ms,plans_installed,high_load_rebalances,\
-         channel_level_rebalances,placement_installs,reactive_migrations"
-    )?;
-    for r in rows {
-        writeln!(
-            w,
-            "{},{},{},{},{:.3},{},{},{:.4},{:.2},{:.2},{},{},{},{},{}",
-            r.offered_per_s,
-            r.rebalancing,
-            r.zipf_names,
-            r.placement_pass,
-            r.publish_secs,
-            r.published,
-            r.delivered,
-            r.delivery_ratio,
-            r.mean_ms,
-            r.p99_ms,
-            r.plans_installed,
-            r.high_load_rebalances,
-            r.channel_level_rebalances,
-            r.placement_installs,
-            r.reactive_migrations,
-        )?;
-    }
-    Ok(())
-}

@@ -249,27 +249,3 @@ pub fn write_resume_json(mut w: impl IoWrite, rows: &[ResumeBenchRow]) -> std::i
     writeln!(w, "  ]")?;
     writeln!(w, "}}")
 }
-
-/// Prints a series as CSV.
-pub fn write_resume_csv(mut w: impl IoWrite, rows: &[ResumeBenchRow]) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "outage_frames,retention_frames,replayed,missed,delivered,loss_ratio,\
-         first_replay_ms,catch_up_ms"
-    )?;
-    for r in rows {
-        writeln!(
-            w,
-            "{},{},{},{},{},{:.4},{:.2},{:.2}",
-            r.outage_frames,
-            r.retention_frames,
-            r.replayed,
-            r.missed,
-            r.delivered,
-            r.loss_ratio,
-            r.first_replay_ms,
-            r.catch_up_ms,
-        )?;
-    }
-    Ok(())
-}

@@ -301,31 +301,3 @@ pub fn write_router_json(mut w: impl IoWrite, rows: &[RouterBenchRow]) -> std::i
     writeln!(w, "  ]")?;
     writeln!(w, "}}")
 }
-
-/// Prints a series as CSV.
-pub fn write_router_csv(mut w: impl IoWrite, rows: &[RouterBenchRow]) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "brokers,channels,subscribers,publishers,publish_secs,published,delivered,\
-         expected,publish_per_s,deliver_per_s,delivery_ratio,duplicates_suppressed"
-    )?;
-    for r in rows {
-        writeln!(
-            w,
-            "{},{},{},{},{:.3},{},{},{},{:.0},{:.0},{:.4},{}",
-            r.brokers,
-            r.channels,
-            r.subscribers,
-            r.publishers,
-            r.publish_secs,
-            r.published,
-            r.delivered,
-            r.expected,
-            r.publish_per_s,
-            r.deliver_per_s,
-            r.delivery_ratio,
-            r.duplicates_suppressed,
-        )?;
-    }
-    Ok(())
-}

@@ -47,6 +47,21 @@ use crate::hashing::{Ring, DEFAULT_VNODES};
 use crate::ids::{PlanId, ServerId};
 use crate::plan::{ChannelMapping, Plan};
 
+/// ε of the bounded-load rule shared by the emergency replan and the
+/// placement pass: a server is skipped (spilling the channel to the
+/// next ring node) once its projected load exceeds `(1+ε)×` the
+/// projected mean.
+const FAILOVER_EPSILON: f64 = 0.25;
+
+/// Evaluation ticks the *reactive* stages (Algorithms 1/2, low-load
+/// drain) hold off after any plan install. A migration's handoff
+/// window double-counts egress (old and new broker both forward), so
+/// the reports right after an install overstate load; acting on them
+/// triggers follow-on migrations that were never needed. The placement
+/// pass still runs every tick — newly observed channels are placed from
+/// their own (clean) per-channel bytes.
+const SETTLE_TICKS: u64 = 2;
+
 /// Tuning knobs of a [`LiveLoadBalancer`].
 #[derive(Debug, Clone)]
 pub struct BalancerConfig {
@@ -66,9 +81,6 @@ pub struct BalancerConfig {
     /// How long plan-delta installs are re-published after a migration,
     /// refreshing the sidecars' forwarding TTL across the window.
     pub install_refresh: Duration,
-    /// Virtual identifiers per server on the fallback ring. Must match
-    /// the routers' [`RouterConfig::vnodes`](crate::RouterConfig).
-    pub vnodes: u32,
     /// Tuning for the balancer's own broker connections.
     pub client: ClientConfig,
     /// The [`LoadReporter`] cadence the balancer expects. Together with
@@ -85,25 +97,12 @@ pub struct BalancerConfig {
     /// serving broker would split routing. Only a failed probe declares
     /// death.
     pub probe_timeout: Duration,
-    /// ε of the bounded-load rule shared by the emergency replan and
-    /// the placement pass: a server is skipped (spilling the channel to
-    /// the next ring node) once its projected load exceeds `(1+ε)×` the
-    /// projected mean.
-    pub failover_epsilon: f64,
     /// Enables the proactive bounded-load placement pass: each
     /// evaluation, channels observed in `DMLLA1` reports that have no
     /// plan entry and whose ring home violates the `(1+ε)×`-mean cap
     /// get bounded-load homes installed *before* they trip the reactive
     /// high-load path. Disable to measure the reactive baseline.
     pub placement_pass: bool,
-    /// Evaluation ticks the *reactive* stages (Algorithms 1/2, low-load
-    /// drain) hold off after any plan install. A migration's handoff
-    /// window double-counts egress (old and new broker both forward),
-    /// so the reports right after an install overstate load; acting on
-    /// them triggers follow-on migrations that were never needed. The
-    /// placement pass still runs every tick — newly observed channels
-    /// are placed from their own (clean) per-channel bytes.
-    pub settle_ticks: u64,
 }
 
 impl Default for BalancerConfig {
@@ -115,14 +114,11 @@ impl Default for BalancerConfig {
             window: 3,
             warmup_ticks: 3,
             install_refresh: Duration::from_secs(3),
-            vnodes: DEFAULT_VNODES,
             client: ClientConfig::default(),
             report_interval: Duration::from_secs(1),
             suspect_after: 3,
             probe_timeout: Duration::from_millis(500),
-            failover_epsilon: 0.25,
             placement_pass: true,
-            settle_ticks: 2,
         }
     }
 }
@@ -399,8 +395,8 @@ struct Engine {
     /// the next move.)
     placed: HashMap<ChannelId, u64>,
     /// Tick of the most recent plan install; the reactive stages hold
-    /// off for [`BalancerConfig::settle_ticks`] after it so handoff
-    /// double-egress transients cannot trigger follow-on migrations.
+    /// off for [`SETTLE_TICKS`] after it so handoff double-egress
+    /// transients cannot trigger follow-on migrations.
     last_install_tick: Option<u64>,
 }
 
@@ -412,7 +408,7 @@ impl Engine {
         stats: Arc<Mutex<LiveBalancerStats>>,
     ) -> Engine {
         let servers: Vec<ServerId> = (0..directory.len()).map(ServerId::from_index).collect();
-        let ring = Ring::new(&servers, cfg.vnodes);
+        let ring = Ring::new(&servers, DEFAULT_VNODES);
         let clients: Vec<TcpPubSubClient> = directory
             .iter()
             .enumerate()
@@ -652,7 +648,7 @@ impl Engine {
             .map(|&s| (s, self.store.egress_bytes_per_tick(s).unwrap_or(0.0)))
             .collect();
         let pending: f64 = homeless.iter().map(|&(_, b)| b).sum();
-        let mut placer = BoundedPlacer::new(&loads, self.cfg.failover_epsilon, pending, 0.0);
+        let mut placer = BoundedPlacer::new(&loads, FAILOVER_EPSILON, pending, 0.0);
 
         let mut candidate = self.plan.clone();
         for &(id, bytes) in &homeless {
@@ -756,7 +752,7 @@ impl Engine {
         // newly observed channels by their own per-channel bytes.
         let settling = self
             .last_install_tick
-            .is_some_and(|t| self.ticks.saturating_sub(t) < self.cfg.settle_ticks);
+            .is_some_and(|t| self.ticks.saturating_sub(t) < SETTLE_TICKS);
         let mut cl_changed = false;
         let mut high_changed = false;
         let mut servers_wanted = 0usize;
@@ -914,7 +910,7 @@ impl Engine {
         // ring is fine and the pass stays quiet rather than churning
         // plans over trivial imbalance.
         let cap_floor = self.cfg.tuning.lr_safe * capacity;
-        let mut placer = BoundedPlacer::new(&loads, self.cfg.failover_epsilon, 0.0, cap_floor);
+        let mut placer = BoundedPlacer::new(&loads, FAILOVER_EPSILON, 0.0, cap_floor);
 
         // Work list: unmapped channels at their effective ring home.
         // Every mapped channel — including our own past placements —
@@ -1063,7 +1059,6 @@ mod tests {
         assert!(cfg.install_refresh > cfg.tick);
         assert!(cfg.suspect_after >= 1);
         assert!(cfg.probe_timeout > Duration::ZERO);
-        assert!(cfg.failover_epsilon >= 0.0);
         // The detector must tolerate at least one report interval of
         // jitter before suspecting anyone.
         assert!(cfg.report_interval * cfg.suspect_after >= cfg.report_interval);

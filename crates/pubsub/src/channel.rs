@@ -1,12 +1,12 @@
-//! Channel (topic) identifiers and name interning.
+//! Channel (topic) identifiers.
 //!
 //! Applications address channels by name (`"tile_3_4"`, `"player_42"`),
-//! but the simulation moves millions of messages, so channels are
-//! interned to a compact [`Channel`] id once and referenced by id
-//! everywhere else. [`ChannelRegistry`] provides the bidirectional
-//! mapping.
+//! but plans, rings and load reports move millions of entries, so
+//! everything below the name-keyed subscription index refers to a
+//! channel by a compact [`Channel`] id: the simulator's workloads number
+//! their channels directly, the live tier hashes the name with
+//! [`channel_id_of`](crate::channel_id_of).
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A compact channel (topic) identifier.
@@ -14,12 +14,10 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use dynamoth_pubsub::{Channel, ChannelRegistry};
+/// use dynamoth_pubsub::{channel_id_of, Channel};
 ///
-/// let mut reg = ChannelRegistry::new();
-/// let c = reg.intern("tile_3_4");
-/// assert_eq!(reg.intern("tile_3_4"), c); // stable
-/// assert_eq!(reg.name(c), Some("tile_3_4"));
+/// assert_eq!(channel_id_of("tile_3_4"), channel_id_of("tile_3_4")); // stable
+/// assert_eq!(Channel(7).to_string(), "ch7");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Channel(pub u64);
@@ -27,91 +25,5 @@ pub struct Channel(pub u64);
 impl fmt::Display for Channel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ch{}", self.0)
-    }
-}
-
-/// Bidirectional mapping between channel names and [`Channel`] ids.
-#[derive(Debug, Default, Clone)]
-pub struct ChannelRegistry {
-    by_name: HashMap<String, Channel>,
-    names: Vec<String>,
-}
-
-impl ChannelRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the id for `name`, allocating one on first use.
-    pub fn intern(&mut self, name: &str) -> Channel {
-        if let Some(&c) = self.by_name.get(name) {
-            return c;
-        }
-        let c = Channel(self.names.len() as u64);
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), c);
-        c
-    }
-
-    /// Looks up an id without allocating.
-    pub fn get(&self, name: &str) -> Option<Channel> {
-        self.by_name.get(name).copied()
-    }
-
-    /// The name a channel was interned under, if it came from this
-    /// registry.
-    pub fn name(&self, channel: Channel) -> Option<&str> {
-        self.names.get(channel.0 as usize).map(String::as_str)
-    }
-
-    /// Number of interned channels.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// `true` if no channel has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn interning_is_stable_and_dense() {
-        let mut reg = ChannelRegistry::new();
-        let a = reg.intern("alpha");
-        let b = reg.intern("beta");
-        assert_ne!(a, b);
-        assert_eq!(reg.intern("alpha"), a);
-        assert_eq!(reg.len(), 2);
-        assert_eq!(a, Channel(0));
-        assert_eq!(b, Channel(1));
-    }
-
-    #[test]
-    fn lookup_without_allocation() {
-        let mut reg = ChannelRegistry::new();
-        assert_eq!(reg.get("x"), None);
-        let x = reg.intern("x");
-        assert_eq!(reg.get("x"), Some(x));
-    }
-
-    #[test]
-    fn names_round_trip() {
-        let mut reg = ChannelRegistry::new();
-        let c = reg.intern("tile_0_0");
-        assert_eq!(reg.name(c), Some("tile_0_0"));
-        assert_eq!(reg.name(Channel(99)), None);
-    }
-
-    #[test]
-    fn empty_registry() {
-        let reg = ChannelRegistry::new();
-        assert!(reg.is_empty());
-        assert_eq!(reg.len(), 0);
     }
 }

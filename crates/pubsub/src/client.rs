@@ -98,9 +98,6 @@ pub struct ClientConfig {
     /// Send attempts per publication before it is dropped with
     /// [`DropCause::RetriesExhausted`].
     pub publish_retries: u32,
-    /// Queued publications (pending + unacknowledged) before the oldest
-    /// is dropped with [`DropCause::QueueFull`].
-    pub max_pending_publishes: usize,
     /// Worker wake-up granularity: command latency, heartbeat check
     /// resolution and shutdown latency are all bounded by one tick.
     pub tick: Duration,
@@ -126,7 +123,6 @@ impl Default for ClientConfig {
             liveness_timeout: Duration::from_secs(3),
             dedup_window: 1024,
             publish_retries: 8,
-            max_pending_publishes: 4096,
             tick: Duration::from_millis(20),
             seed: None,
             resume: true,
@@ -266,6 +262,10 @@ pub struct Message {
     /// is sequenced (see [`ClientConfig::resume`]).
     pub seq: Option<u64>,
 }
+
+/// Queued publications (pending + unacknowledged) per connection before
+/// the oldest is dropped with [`DropCause::QueueFull`].
+const MAX_PENDING_PUBLISHES: usize = 4096;
 
 const ID_MAGIC: &[u8] = b"DMID1;";
 /// Bytes the wire-id header adds in front of a framed payload.
@@ -1069,7 +1069,7 @@ impl Worker {
     /// Queues one fully framed payload for publication, shedding the
     /// oldest pending entry when the queue is full.
     fn enqueue_publish(&mut self, channel: String, framed: Vec<u8>) {
-        if self.pending.len() + self.unacked.len() >= self.cfg.max_pending_publishes {
+        if self.pending.len() + self.unacked.len() >= MAX_PENDING_PUBLISHES {
             if let Some(shed) = self.pending.pop_front() {
                 self.emit(ClientEvent::Dropped {
                     cause: DropCause::QueueFull {

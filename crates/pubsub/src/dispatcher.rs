@@ -55,13 +55,14 @@ use crate::control::{control_channel, install_channel, ControlFrame, InstallFram
 use crate::ids::{PlanId, ServerId};
 use crate::plan::ChannelMapping;
 
+/// Dedup window (wire ids) for forwarding-loop suppression.
+const DEDUP_WINDOW: usize = 4096;
+
 /// Tuning knobs of a [`DispatcherSidecar`].
 #[derive(Debug, Clone)]
 pub struct SidecarConfig {
     /// How long forwarding/switch state lives after installation.
     pub ttl: Duration,
-    /// Dedup window (wire ids) for forwarding-loop suppression.
-    pub dedup_window: usize,
     /// Pump thread granularity.
     pub tick: Duration,
     /// Tuning for the underlying broker connections.
@@ -72,7 +73,6 @@ impl Default for SidecarConfig {
     fn default() -> Self {
         SidecarConfig {
             ttl: Duration::from_secs(10),
-            dedup_window: 4096,
             tick: Duration::from_millis(5),
             client: ClientConfig::default(),
         }
@@ -324,6 +324,17 @@ impl Pump {
                 plan,
                 quarantine,
             } = install;
+            // Installs are payload-space input (anyone can publish a
+            // `DMINST1` frame): one naming a broker outside the
+            // directory would index past it on the first forward.
+            let brokers = self.directory.len();
+            let in_directory = |m: &ChannelMapping| m.servers().iter().all(|s| s.index() < brokers);
+            if !in_directory(&change.old)
+                || !in_directory(&change.new)
+                || quarantine.iter().any(|q| q.broker >= brokers)
+            {
+                continue;
+            }
             // A failover install (non-empty quarantine) involves every
             // surviving sidecar: routers guessing the new home by ring
             // exclusion may land publications on *any* survivor, which
@@ -469,7 +480,7 @@ impl Pump {
             }
             return;
         };
-        if !self.dedup.insert(id, self.cfg.dedup_window) {
+        if !self.dedup.insert(id, DEDUP_WINDOW) {
             self.shared.stats.lock().duplicates_suppressed += 1;
             return;
         }

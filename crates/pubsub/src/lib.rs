@@ -57,7 +57,7 @@ pub use broker::{
     BrokerConfig, BrokerHealth, BrokerLoadHandle, FlushStats, LoopFlushStats, ShutdownStats,
     TcpBroker,
 };
-pub use channel::{Channel, ChannelRegistry};
+pub use channel::Channel;
 pub use chaos::{ChaosProxy, Direction};
 pub use client::{
     ClientConfig, ClientEvent, DisconnectReason, DropCause, GapReason, Message, MessageId,

@@ -105,8 +105,6 @@ pub struct RouterConfig {
     pub client: ClientConfig,
     /// Router-level (cross-broker) dedup window, in wire ids.
     pub dedup_window: usize,
-    /// Virtual identifiers per server on the fallback ring.
-    pub vnodes: u32,
     /// How long a superseded subscription lingers after a switch before
     /// it is unsubscribed. Covers the connection-setup time of the new
     /// brokers; the resulting double deliveries are deduplicated.
@@ -130,7 +128,6 @@ impl Default for RouterConfig {
         RouterConfig {
             client: ClientConfig::default(),
             dedup_window: 8192,
-            vnodes: DEFAULT_VNODES,
             switch_grace: Duration::from_secs(1),
             seed: None,
             failover_after: Duration::from_secs(3),
@@ -362,7 +359,7 @@ impl RoutedClient {
     pub fn connect(directory: Vec<SocketAddr>, cfg: RouterConfig) -> RoutedClient {
         assert!(!directory.is_empty(), "directory needs at least one broker");
         let servers: Vec<ServerId> = (0..directory.len()).map(ServerId::from_index).collect();
-        let ring = Ring::new(&servers, cfg.vnodes);
+        let ring = Ring::new(&servers, DEFAULT_VNODES);
         let rng = match cfg.seed {
             Some(seed) => SplitMix64::new(seed),
             None => SplitMix64::from_entropy(),

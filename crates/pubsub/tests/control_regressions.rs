@@ -1,5 +1,4 @@
-//! Regression tests for two control-plane bugs fixed alongside the live
-//! balancer:
+//! Regression tests for control-plane bugs:
 //!
 //! 1. `DispatcherSidecar` used to `expect()` its broker connections at
 //!    startup — an unreachable broker aborted the pump thread. It now
@@ -17,6 +16,11 @@
 //!    during the outage panicked the pump thread, killing the sidecar
 //!    for good. The watch accessor now rebuilds the client in place
 //!    (`get_or_insert_with`), so no path can observe a missing watch.
+//! 4. The pump accepted an install naming a broker outside its
+//!    directory — `DMINST1` frames are payload-space input — and the
+//!    next publication on that channel indexed past the directory when
+//!    forwarding, killing the pump thread. Such installs are now
+//!    dropped, as `RoutedClient` already drops such control frames.
 
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -24,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
     channel_id_of, install_channel, ChannelMapping, ChaosProxy, ClientConfig, ControlFrame,
-    DispatcherSidecar, PlanId, Ring, RoutedClient, RouterConfig, ServerId, SidecarConfig,
-    SidecarEvent, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
+    DispatcherSidecar, InstallFrame, PlanId, Ring, RoutedClient, RouterConfig, ServerId,
+    SidecarConfig, SidecarEvent, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
 };
 
 fn seed() -> u64 {
@@ -95,7 +99,6 @@ fn sidecar_survives_broker_outage_and_reports_it() {
                 seed: Some(seed),
                 ..ClientConfig::default()
             },
-            ..SidecarConfig::default()
         };
         let sidecar = DispatcherSidecar::start(sid(0), directory, cfg);
 
@@ -171,7 +174,6 @@ fn install_during_watch_outage_rebuilds_instead_of_panicking() {
                 seed: Some(seed),
                 ..ClientConfig::default()
             },
-            ..SidecarConfig::default()
         };
         let sidecar = DispatcherSidecar::start(sid(0), directory, cfg);
         wait_until("watch subscription", Duration::from_secs(10), || {
@@ -216,6 +218,65 @@ fn install_during_watch_outage_rebuilds_instead_of_panicking() {
 
         sidecar.shutdown();
         proxy.shutdown();
+        broker.shutdown();
+    });
+}
+
+/// A `DMINST1` frame whose new home is outside the directory (one
+/// broker, `new: Single(5)`) used to be installed like any other; the
+/// next publication on the channel then reached `directory[5]` in the
+/// forwarding path and the pump thread died, leaving a sidecar that
+/// looked alive but never applied another install. The frame must be
+/// dropped and the pump must keep serving valid installs.
+#[test]
+fn install_naming_a_broker_outside_the_directory_is_dropped() {
+    with_deadline(60, || {
+        let broker = TcpBroker::bind("127.0.0.1:0").expect("bind broker");
+        let directory: Vec<SocketAddr> = vec![broker.local_addr()];
+        let sidecar = DispatcherSidecar::start(sid(0), directory.clone(), SidecarConfig::default());
+        wait_until("watch subscription", Duration::from_secs(10), || {
+            broker.channel_subscribers(&install_channel(0)) >= 1
+        });
+
+        // Anyone who can publish can send an install frame. The valid
+        // frame behind the hostile one is a barrier: frames on one
+        // connection arrive in order, so once "ok" is installed the
+        // hostile frame has been seen too.
+        let outsider = TcpPubSubClient::connect_addr(directory[0], ClientConfig::default());
+        let install = |channel: &str, new: usize| InstallFrame {
+            plan: PlanId(1),
+            channel: channel.to_owned(),
+            old: ChannelMapping::Single(sid(0)),
+            new: ChannelMapping::Single(sid(new)),
+            quarantine: Vec::new(),
+        };
+        outsider.publish(&install_channel(0), &install("hot", 5).encode());
+        outsider.publish(&install_channel(0), &install("ok", 0).encode());
+        wait_until("barrier install", Duration::from_secs(10), || {
+            broker.channel_subscribers("ok") >= 1
+        });
+
+        // Pre-fix the sidecar is now watching "hot" as its old home and
+        // this publication panics the pump on `directory[5]`.
+        outsider.publish("hot", b"boom");
+
+        sidecar.install(
+            dynamoth_pubsub::ChannelChange {
+                channel: "later".to_owned(),
+                old: ChannelMapping::Single(sid(0)),
+                new: ChannelMapping::Single(sid(0)),
+            },
+            PlanId(1),
+        );
+        wait_until(
+            "install after the hostile frame",
+            Duration::from_secs(10),
+            || sidecar.stats().active_channels == 2 && broker.channel_subscribers("later") >= 1,
+        );
+        assert_eq!(broker.channel_subscribers("hot"), 0);
+
+        outsider.shutdown();
+        sidecar.shutdown();
         broker.shutdown();
     });
 }

@@ -118,7 +118,6 @@ fn hard_kill_is_detected_replanned_and_survived() {
                         ttl: Duration::from_secs(30),
                         tick: Duration::from_millis(5),
                         client: client_cfg(seed ^ (0x50 + i as u64)),
-                        ..SidecarConfig::default()
                     },
                 )
             })
@@ -373,7 +372,6 @@ fn cold_start_kill_replans_uncapped() {
                         ttl: Duration::from_secs(30),
                         tick: Duration::from_millis(5),
                         client: client_cfg(seed ^ (0xD0 + i as u64)),
-                        ..SidecarConfig::default()
                     },
                 )
             })
@@ -544,7 +542,6 @@ fn post_mortem_hot_channels_are_rebalanced_off_the_effective_home() {
                         ttl: Duration::from_secs(30),
                         tick: Duration::from_millis(5),
                         client: client_cfg(seed ^ (0x100 + i as u64)),
-                        ..SidecarConfig::default()
                     },
                 )
             })
@@ -730,7 +727,6 @@ fn sidecar_peer_death_mid_migration_loses_no_forwards() {
                     seed: Some(seed ^ 0x78),
                     ..ClientConfig::default()
                 },
-                ..SidecarConfig::default()
             },
         );
         sidecar.install(

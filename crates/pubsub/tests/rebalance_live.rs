@@ -113,7 +113,6 @@ fn skewed_traffic_trips_autonomous_rebalancing() {
                         ttl: Duration::from_secs(5),
                         tick: Duration::from_millis(5),
                         client: client_cfg(seed ^ (0x50 + i as u64)),
-                        ..SidecarConfig::default()
                     },
                 )
             })

@@ -435,7 +435,6 @@ fn mid_outage_switch_migration_still_resumes_on_the_new_home() {
             ttl: Duration::from_secs(60),
             tick: Duration::from_millis(5),
             client: chaos_cfg(seed ^ 7),
-            ..SidecarConfig::default()
         };
         let sidecars: Vec<DispatcherSidecar> = (0..2)
             .map(|i| {

@@ -77,7 +77,6 @@ fn sidecar_cfg(seed: u64) -> SidecarConfig {
         ttl: Duration::from_secs(4),
         tick: Duration::from_millis(5),
         client: chaos_client_cfg(seed),
-        ..SidecarConfig::default()
     }
 }
 

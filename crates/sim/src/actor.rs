@@ -60,9 +60,8 @@ pub trait Message: 'static {
 /// event: reading the clock, sending messages, managing timers and
 /// drawing random numbers.
 ///
-/// The discrete-event [`World`](crate::World) provides one
-/// implementation; a real-time engine (threads + channels + wall clock)
-/// can provide another, so the same actors run unchanged in both.
+/// The discrete-event [`World`](crate::World) provides the
+/// implementation; actors see only this trait, never the engine.
 pub trait ActorContext<M: Message> {
     /// Current time.
     fn now(&self) -> SimTime;
@@ -93,26 +92,17 @@ pub trait ActorContext<M: Message> {
     fn cancel_timer(&mut self, id: TimerId);
 
     /// Cumulative bytes departed from `node` (transport accounting).
-    /// Engines without byte accounting return 0.
-    fn egress_bytes(&self, node: NodeId) -> u64 {
-        let _ = node;
-        0
-    }
+    fn egress_bytes(&self, node: NodeId) -> u64;
 
     /// Bytes currently backlogged on the connection `from → to`.
-    /// Engines without buffer accounting return 0.
-    fn connection_backlog(&self, from: NodeId, to: NodeId) -> u64 {
-        let _ = (from, to);
-        0
-    }
+    fn connection_backlog(&self, from: NodeId, to: NodeId) -> u64;
 
     /// Requests an [`Actor::on_flush`] callback once the engine has
-    /// handed this node every event of the current batching window: in
-    /// the discrete-event world, after all events already queued for
-    /// the current instant; in the real-time engine, when the node's
-    /// message queue drains. Multiple requests within one window
-    /// coalesce into a single callback. Actors use this to buffer
-    /// per-recipient output during a burst and emit it batched.
+    /// handed this node every event of the current batching window,
+    /// i.e. all events already queued for the current instant. Multiple
+    /// requests within one window coalesce into a single callback.
+    /// Actors use this to buffer per-recipient output during a burst
+    /// and emit it batched.
     fn request_flush(&mut self);
 }
 
@@ -150,20 +140,6 @@ pub trait Actor<M: Message>: 'static {
 /// Identifies a pending timer so it can be cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(pub(crate) u64);
-
-impl TimerId {
-    /// Builds a timer id from a raw value. Intended for alternative
-    /// engine implementations ([`ActorContext`] providers); ids must be
-    /// unique per node.
-    pub fn from_raw(raw: u64) -> Self {
-        TimerId(raw)
-    }
-
-    /// The raw value of this id.
-    pub fn into_raw(self) -> u64 {
-        self.0
-    }
-}
 
 /// A request handed to a [`Transport`](crate::Transport) to compute when
 /// (and whether) a message arrives at its destination.

@@ -14,13 +14,11 @@
 //! - [`core`] — the Dynamoth middleware itself (plans, client library,
 //!   load analyzers, dispatchers, hierarchical load balancer)
 //! - [`workloads`] — RGame and micro-benchmark workload generators
-//! - [`rt`] — real-time engine running the same actors on OS threads
 
 #![forbid(unsafe_code)]
 
 pub use dynamoth_core as core;
 pub use dynamoth_net as net;
 pub use dynamoth_pubsub as pubsub;
-pub use dynamoth_rt as rt;
 pub use dynamoth_sim as sim;
 pub use dynamoth_workloads as workloads;

@@ -217,24 +217,24 @@ mod tests {
     #[test]
     fn high_publication_ratio_triggers_all_subscribers() {
         // 2000 pubs/tick to 1 subscriber: P_ratio = 2000.
-        let d = decide(&agg(2_000.0, 1.0), &cfg());
+        let d = decide(&agg(2_000.0, 1.0), cfg());
         assert_eq!(d, ReplicationDecision::AllSubscribers(3)); // ceil(20) clamped to 3
     }
 
     #[test]
     fn high_subscriber_ratio_triggers_all_publishers() {
         // 10 pubs/tick, 500 subscribers: S_ratio = 50.
-        let d = decide(&agg(10.0, 500.0), &cfg());
+        let d = decide(&agg(10.0, 500.0), cfg());
         assert_eq!(d, ReplicationDecision::AllPublishers(3));
     }
 
     #[test]
     fn small_channels_are_not_replicated() {
-        assert_eq!(decide(&agg(3.0, 12.0), &cfg()), ReplicationDecision::None);
+        assert_eq!(decide(&agg(3.0, 12.0), cfg()), ReplicationDecision::None);
         // High ratio but too few publications.
-        assert_eq!(decide(&agg(400.0, 1.0), &cfg()), ReplicationDecision::None);
+        assert_eq!(decide(&agg(400.0, 1.0), cfg()), ReplicationDecision::None);
         // Many subscribers but ratio below threshold.
-        assert_eq!(decide(&agg(50.0, 600.0), &cfg()), ReplicationDecision::None);
+        assert_eq!(decide(&agg(50.0, 600.0), cfg()), ReplicationDecision::None);
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
         let mut c = cfg();
         c.all_subs_threshold = 1.5;
         c.publication_threshold = 100.0;
-        let d = decide(&agg(100_000.0, 1_000.0), &c);
+        let d = decide(&agg(100_000.0, 1_000.0), c);
         assert!(matches!(d, ReplicationDecision::AllSubscribers(_)), "{d:?}");
     }
 
@@ -254,7 +254,7 @@ mod tests {
         c.max_replication = 16;
         // P_ratio = 450 → ceil(4.5) = 5 servers.
         assert_eq!(
-            decide(&agg(900.0, 2.0), &c),
+            decide(&agg(900.0, 2.0), c),
             ReplicationDecision::AllSubscribers(5)
         );
     }
@@ -294,7 +294,7 @@ mod tests {
             &aggregates,
             &mut view,
             &active,
-            &cfg(),
+            cfg(),
             &[],
         );
         assert!(changed);
@@ -328,7 +328,7 @@ mod tests {
             &aggregates,
             &mut view,
             &active,
-            &cfg(),
+            cfg(),
             &[],
         );
         assert!(changed);
@@ -352,7 +352,7 @@ mod tests {
             &aggregates,
             &mut view,
             &active,
-            &cfg(),
+            cfg(),
             &[]
         ));
         assert!(plan.is_empty());
@@ -371,7 +371,7 @@ mod tests {
             &aggregates,
             &mut view,
             &active,
-            &cfg(),
+            cfg(),
             &[],
         );
         assert_eq!(plan.mapping(ChannelId(9)).unwrap().replication_factor(), 2);
@@ -390,7 +390,7 @@ mod tests {
             &aggregates,
             &mut view,
             &active,
-            &cfg(),
+            cfg(),
             &[]
         ));
     }

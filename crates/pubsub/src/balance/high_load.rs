@@ -174,7 +174,7 @@ mod tests {
     fn no_rebalance_below_threshold() {
         let r = ring(2);
         let mut v = view(&[(0, vec![(1, 500)]), (1, vec![(2, 400)])]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &r, &cfg(), &[]);
+        let out = rebalance(&Plan::bootstrap(), &mut v, &r, cfg(), &[]);
         assert!(!out.changed);
         assert_eq!(out.servers_wanted, 0);
     }
@@ -189,7 +189,7 @@ mod tests {
             (0, vec![(c0[0], 500), (c0[1], 400), (c0[2], 300)]),
             (1, vec![(c1[0], 100)]),
         ]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &r, &cfg(), &[]);
+        let out = rebalance(&Plan::bootstrap(), &mut v, &r, cfg(), &[]);
         assert!(out.changed);
         assert_eq!(out.servers_wanted, 0);
         // The busiest channel moved to server 1.
@@ -213,14 +213,14 @@ mod tests {
     fn requests_servers_when_pool_exhausted() {
         // Both servers hot: no migration target can absorb anything.
         let mut v = view(&[(0, vec![(1, 600), (2, 600)]), (1, vec![(3, 600), (4, 600)])]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(2), &cfg(), &[]);
+        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(2), cfg(), &[]);
         assert!(out.servers_wanted >= 1, "wanted {}", out.servers_wanted);
     }
 
     #[test]
     fn single_server_requests_growth() {
         let mut v = view(&[(0, vec![(1, 950)])]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(1), &cfg(), &[]);
+        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(1), cfg(), &[]);
         assert!(!out.changed);
         assert_eq!(out.servers_wanted, 1);
     }
@@ -235,7 +235,7 @@ mod tests {
             (0, vec![(c0[0], 950), (c0[1], 100), (c0[2], 100)]),
             (1, vec![]),
         ]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &r, &cfg(), &[]);
+        let out = rebalance(&Plan::bootstrap(), &mut v, &r, cfg(), &[]);
         // The giant channel must NOT have been migrated.
         assert!(
             out.plan.mapping(ChannelId(c0[0])).is_none(),
@@ -255,7 +255,7 @@ mod tests {
             ChannelMapping::AllSubscribers(vec![sid(0), sid(1)]),
         );
         let mut v = view(&[(0, vec![(1, 1_200)]), (1, vec![])]);
-        let out = rebalance(&plan, &mut v, &ring(2), &cfg(), &[]);
+        let out = rebalance(&plan, &mut v, &ring(2), cfg(), &[]);
         // Mapping unchanged for the replicated channel.
         assert_eq!(
             out.plan.mapping(ChannelId(1)),
@@ -288,7 +288,7 @@ mod tests {
             .collect(),
         });
         let mut v = LoadView::from_store(&store, &[sid(0), sid(1)], 0.0);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(2), &cfg(), &[]);
+        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(2), cfg(), &[]);
         assert!(out.servers_wanted >= 1);
     }
 
@@ -301,7 +301,7 @@ mod tests {
             (2, vec![(3, 1_000)]),
             (3, vec![(4, 1_000)]),
         ]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(4), &cfg(), &[]);
+        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(4), cfg(), &[]);
         assert!(out.servers_wanted >= 1);
     }
 }

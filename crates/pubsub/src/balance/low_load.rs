@@ -140,7 +140,7 @@ mod tests {
             (0, vec![(c0[0], 300)]),
             (1, vec![(c1[0], 100), (c1[1], 50)]),
         ]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &r, &cfg(), &[]).expect("drain");
+        let out = rebalance(&Plan::bootstrap(), &mut v, &r, cfg(), &[]).expect("drain");
         assert_eq!(out.release, sid(1));
         // Both channels moved to server 0.
         assert_eq!(
@@ -157,13 +157,13 @@ mod tests {
     #[test]
     fn no_drain_when_load_is_moderate() {
         let mut v = view(&[(0, vec![(1, 600)]), (1, vec![(2, 500)])]);
-        assert!(rebalance(&Plan::bootstrap(), &mut v, &ring(2), &cfg(), &[]).is_none());
+        assert!(rebalance(&Plan::bootstrap(), &mut v, &ring(2), cfg(), &[]).is_none());
     }
 
     #[test]
     fn no_drain_with_single_server() {
         let mut v = view(&[(0, vec![(1, 10)])]);
-        assert!(rebalance(&Plan::bootstrap(), &mut v, &ring(1), &cfg(), &[]).is_none());
+        assert!(rebalance(&Plan::bootstrap(), &mut v, &ring(1), cfg(), &[]).is_none());
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
         let mut v = view(&[(0, vec![(1, 500)]), (1, vec![(2, 250)])]);
         let mut c = cfg();
         c.lr_low = 0.5;
-        assert!(rebalance(&Plan::bootstrap(), &mut v, &ring(2), &c, &[]).is_none());
+        assert!(rebalance(&Plan::bootstrap(), &mut v, &ring(2), c, &[]).is_none());
     }
 
     #[test]
@@ -189,7 +189,7 @@ mod tests {
         let mut c = cfg();
         c.lr_low = 0.5;
         let before: Vec<f64> = [0, 1].map(|i| v.load_ratio(sid(i))).to_vec();
-        assert!(rebalance(&Plan::bootstrap(), &mut v, &r, &c, &[]).is_none());
+        assert!(rebalance(&Plan::bootstrap(), &mut v, &r, c, &[]).is_none());
         let after: Vec<f64> = [0, 1].map(|i| v.load_ratio(sid(i))).to_vec();
         assert_eq!(before, after, "aborted drain corrupted the load view");
         assert_eq!(v.channels_on(sid(1)).len(), 2);
@@ -204,13 +204,13 @@ mod tests {
             ChannelMapping::AllSubscribers(vec![sid(0), sid(1)]),
         );
         let mut v = view(&[(0, vec![(1, 200)]), (1, vec![(2, 50)])]);
-        assert!(rebalance(&plan, &mut v, &ring(2), &cfg(), &[]).is_none());
+        assert!(rebalance(&plan, &mut v, &ring(2), cfg(), &[]).is_none());
     }
 
     #[test]
     fn idle_server_is_released_without_migrations() {
         let mut v = view(&[(0, vec![(1, 300)]), (1, vec![])]);
-        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(2), &cfg(), &[]).expect("drain");
+        let out = rebalance(&Plan::bootstrap(), &mut v, &ring(2), cfg(), &[]).expect("drain");
         assert_eq!(out.release, sid(1));
         assert!(out.plan.is_empty());
     }

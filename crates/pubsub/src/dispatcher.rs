@@ -7,40 +7,53 @@
 //! load balancer migrates a channel, it installs the corresponding
 //! [`ChannelChange`] on the sidecars of every involved broker; each
 //! sidecar then subscribes to the migrated channel **on its own broker**
-//! and, for every publication it observes during the reconfiguration
-//! window:
+//! and reacts to what it observes during the reconfiguration window:
 //!
-//! - the **old-home** sidecar emits a [`ControlFrame::Switch`] on the
-//!   channel (so still-connected local subscribers re-point), emits a
-//!   [`ControlFrame::Moved`] on the stale publisher's control channel
-//!   (so its local plan catches up), and forwards the publication —
+//! - the **old-home** sidecar forwards every publication it observes —
 //!   byte-identical, original wire id preserved — to the channel's new
-//!   home(s);
+//!   home(s). Its first wrong-home observation of a (channel, plan) — a
+//!   stale publication, a forwarded copy or an unforwardable one — emits
+//!   a [`ControlFrame::Switch`] on the channel, so still-connected local
+//!   subscribers re-point. From then on it re-emits the `<switch>` as a
+//!   beacon on a doubling schedule ([`RESEND_FIRST`] up to
+//!   [`RESEND_CAP`]) until the TTL lapses, traffic or not, so a
+//!   subscriber that arrives late still hears one within [`RESEND_CAP`].
+//!   The first publication of each stale origin earns a
+//!   [`ControlFrame::Moved`] on that publisher's control channel, so its
+//!   local plan catches up; it is re-sent on the same schedule, but only
+//!   while that origin keeps publishing here;
 //! - the **new-home** sidecar forwards publications back to old members
-//!   still holding unswitched subscribers.
+//!   still holding unswitched subscribers, for [`FORWARD_BACK_WINDOW`]
+//!   after the (channel, plan) was first installed. A switched
+//!   subscriber needs no copies: it catches up by sequence replay at the
+//!   new home.
 //!
-//! Forwarding both ways means neither a stale publisher nor a stale
-//! subscriber loses messages, and preserved wire ids mean the
-//! receive-side dedup windows (client and router level) make delivery
-//! exactly-once despite the duplication forwarding creates. Publications
-//! without a wire id are never forwarded — with no id to suppress on, a
-//! bounced copy would ping-pong between brokers forever — and are
-//! counted in [`SidecarStats::unforwardable`].
+//! Forwarding means neither a stale publisher nor a stale subscriber
+//! loses messages, and preserved wire ids mean the receive-side dedup
+//! windows (client and router level) make delivery exactly-once despite
+//! the duplication forwarding creates. Publications without a wire id are
+//! never forwarded — with no id to suppress on, a bounced copy would
+//! ping-pong between brokers forever — and are counted in
+//! [`SidecarStats::unforwardable`].
 //!
-//! All per-channel state carries a TTL; once it lapses (the paper keeps
-//! forwarding "for a certain amount of time"), the sidecar unsubscribes
-//! its watch and drops the forwarding rule.
+//! All per-channel state — the forwarding rule, the beacon and the
+//! per-origin `MOVED` schedules — carries a TTL; once it lapses (the
+//! paper keeps forwarding "for a certain amount of time"), the sidecar
+//! unsubscribes its watch and drops it.
 //!
 //! The watch rides a resume-enabled [`TcpPubSubClient`], so a watch
 //! connection that drops mid-window resumes from its per-channel
 //! high-water sequence on reconnect: publications the sidecar missed
 //! while disconnected are replayed from the broker's retention ring and
-//! forwarded late rather than never. And because a sidecar's `Switch`
-//! emissions are themselves publications on the migrated channel, they
-//! sit in that channel's retention ring — a subscriber that reconnects
-//! to the *old* home after the forwarding TTL lapsed still replays the
-//! `<switch>` and learns the new home.
+//! forwarded late rather than never. And because the beacon's `<switch>`
+//! frames are themselves publications on the migrated channel, the old
+//! home's retention ring keeps a recent one: a subscriber that resumes on
+//! the *old* home replays it and learns the new home, even after the TTL
+//! lapsed. One hole remains: a subscriber that first subscribes on the
+//! old home after the TTL lapsed replays nothing and hears no beacon, so
+//! it stays there until a later plan change reaches it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,6 +70,30 @@ use crate::plan::ChannelMapping;
 
 /// Dedup window (wire ids) for forwarding-loop suppression.
 const DEDUP_WINDOW: usize = 4096;
+
+/// How long a new home forwards publications back to the channel's old
+/// home(s), counted from the first install of the (channel, plan); a
+/// refresh under the same plan id does not restart it.
+///
+/// The copies keep subscribers that have not switched yet fed live. A
+/// switched subscriber subscribes at the new home from sequence 0, so the
+/// replay covers everything the old home did not carry, and it keeps its
+/// old subscription for `RouterConfig::switch_grace` while the new one is
+/// being established. The window must therefore outlast the switch grace
+/// (1 s by default; this is twice that), or a subscriber that switched on
+/// the first `<switch>` could lose its live feed before its new-home
+/// subscription delivers. A subscriber still unswitched when the window
+/// closes hears the beacon within [`RESEND_CAP`] and catches up by the
+/// same replay.
+pub const FORWARD_BACK_WINDOW: Duration = Duration::from_secs(2);
+
+/// First spacing of a re-send schedule: the `<switch>` beacon and each
+/// stale origin's `MOVED`. Every re-send doubles it, up to [`RESEND_CAP`].
+pub const RESEND_FIRST: Duration = Duration::from_millis(10);
+
+/// Longest spacing of a re-send schedule: while a channel's state lives,
+/// a subscriber on its old home hears a `<switch>` at least this often.
+pub const RESEND_CAP: Duration = Duration::from_secs(1);
 
 /// Tuning knobs of a [`DispatcherSidecar`].
 #[derive(Debug, Clone)]
@@ -135,6 +172,41 @@ struct ChannelState {
     /// participates (see [`Pump::apply_installs`]) and forwarding never
     /// targets a quarantined broker.
     quarantine: Vec<Quarantine>,
+    /// First install of this (channel, plan): opens the new home's
+    /// [`FORWARD_BACK_WINDOW`].
+    installed_at: Instant,
+    /// The `<switch>` beacon, started by the first wrong-home observation.
+    switch: Option<Resend>,
+    /// One `MOVED` schedule per stale origin, advanced by its traffic.
+    moved: HashMap<u64, Resend>,
+}
+
+/// A doubling re-send schedule: the first frame goes out when it starts,
+/// the next [`RESEND_FIRST`] later, each one after twice the previous
+/// spacing, capped at [`RESEND_CAP`].
+#[derive(Debug, Clone, Copy)]
+struct Resend {
+    due: Instant,
+    spacing: Duration,
+}
+
+impl Resend {
+    fn start(now: Instant) -> Resend {
+        Resend {
+            due: now + RESEND_FIRST,
+            spacing: RESEND_FIRST,
+        }
+    }
+
+    /// Whether a re-send is due at `now`; if so, schedules the next one.
+    fn fire(&mut self, now: Instant) -> bool {
+        if now < self.due {
+            return false;
+        }
+        self.spacing = (self.spacing * 2).min(RESEND_CAP);
+        self.due = now + self.spacing;
+        true
+    }
 }
 
 /// One queued install: the public [`DispatcherSidecar::install`] path
@@ -200,7 +272,8 @@ impl DispatcherSidecar {
 
     /// Installs reconfiguration state for one migrated channel under
     /// plan version `plan`. Idempotent per (channel, plan): re-installing
-    /// refreshes the TTL.
+    /// refreshes the TTL, but not the [`FORWARD_BACK_WINDOW`] or the
+    /// re-send schedules.
     pub fn install(&self, change: ChannelChange, plan: PlanId) {
         self.shared.installs.lock().push(Install {
             change,
@@ -276,6 +349,7 @@ impl Pump {
             self.watch();
             self.apply_installs();
             self.drain_watch();
+            self.beacon();
             self.expire();
             std::thread::sleep(self.cfg.tick);
         }
@@ -344,26 +418,33 @@ impl Pump {
             if !involved && !failover {
                 continue;
             }
-            let stale = self
-                .channels
-                .get(&change.channel)
-                .is_some_and(|existing| existing.plan > plan);
-            if stale {
-                continue;
+            let now = Instant::now();
+            let mut state = ChannelState {
+                old: change.old,
+                new: change.new,
+                plan,
+                expires_at: now + self.cfg.ttl,
+                quarantine,
+                installed_at: now,
+                switch: None,
+                moved: HashMap::new(),
+            };
+            match self.channels.get_mut(&change.channel) {
+                Some(existing) if existing.plan > plan => continue,
+                // A refresh (the balancer re-sends installs every
+                // `install_refresh`) extends the TTL only: the
+                // forward-back window and the re-send schedules run on.
+                Some(existing) if existing.plan == plan => {
+                    state.installed_at = existing.installed_at;
+                    state.switch = existing.switch;
+                    state.moved = std::mem::take(&mut existing.moved);
+                }
+                Some(_) => {}
+                None => {
+                    self.watch().subscribe(&change.channel);
+                }
             }
-            if !self.channels.contains_key(&change.channel) {
-                self.watch().subscribe(&change.channel);
-            }
-            self.channels.insert(
-                change.channel,
-                ChannelState {
-                    old: change.old,
-                    new: change.new,
-                    plan,
-                    expires_at: Instant::now() + self.cfg.ttl,
-                    quarantine,
-                },
-            );
+            self.channels.insert(change.channel, state);
             *self.shared.active.lock() = self.channels.len();
         }
     }
@@ -452,96 +533,113 @@ impl Pump {
         if ControlFrame::decode(&msg.payload).is_some() {
             return;
         }
-        let Some(state) = self.channels.get(&msg.channel) else {
+        let now = Instant::now();
+        let Some(state) = self.channels.get_mut(&msg.channel) else {
             return; // teardown raced a late delivery
         };
         let i_am_old = state.old.contains(self.me);
         let involved = i_am_old || state.new.contains(self.me);
-        let new = state.new.clone();
-        let old = state.old.clone();
-        let plan = state.plan;
-        let quarantine = state.quarantine.clone();
-        let dead: Vec<ServerId> = quarantine
-            .iter()
-            .map(|q| ServerId::from_index(q.broker))
-            .collect();
         // During a failover window an uninvolved survivor acts like an
         // old home: publications landing here are a router's
         // ring-exclusion guess at the corpse's replacement, and this
         // sidecar must re-point the guesser and forward the frame to
         // the real new home.
-        let act_as_old = i_am_old || (!involved && !quarantine.is_empty());
-
-        let Some(id) = msg.id else {
-            self.shared.stats.lock().unforwardable += 1;
-            // Still tell local subscribers where the channel went.
-            if act_as_old {
-                self.emit_switch(&msg.channel, &new, plan, &quarantine);
+        let act_as_old = i_am_old || (!involved && !state.quarantine.is_empty());
+        // Any wrong-home observation (stale, forwarded or unforwardable)
+        // tells local subscribers where the channel went — once; the
+        // beacon takes it from there.
+        let switch_now = act_as_old && state.switch.is_none();
+        if switch_now {
+            state.switch = Some(Resend::start(now));
+        }
+        let mut moved_now = false;
+        let mut targets = Vec::new();
+        match msg.id {
+            None => self.shared.stats.lock().unforwardable += 1,
+            Some(id) => {
+                if !self.dedup.insert(id, DEDUP_WINDOW) {
+                    self.shared.stats.lock().duplicates_suppressed += 1;
+                } else if act_as_old {
+                    moved_now = match state.moved.entry(id.origin) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(Resend::start(now));
+                            true
+                        }
+                        Entry::Occupied(mut slot) => slot.get_mut().fire(now),
+                    };
+                    targets = forward_targets_old_to_new(self.me, &state.new);
+                } else if now < state.installed_at + FORWARD_BACK_WINDOW {
+                    // New home: cover unswitched subscribers still sitting
+                    // on old members that left the mapping.
+                    targets = forward_targets_new_to_old(self.me, &state.old, &state.new);
+                }
             }
+        }
+        // Never forward into the corpse.
+        targets.retain(|t| state.quarantine.iter().all(|q| q.broker != t.index()));
+
+        if switch_now {
+            self.emit_switch(&msg.channel);
+        }
+        let Some(id) = msg.id else {
             return;
         };
-        if !self.dedup.insert(id, DEDUP_WINDOW) {
-            self.shared.stats.lock().duplicates_suppressed += 1;
+        if moved_now {
+            self.emit_moved(id.origin, &msg.channel);
+        }
+        if targets.is_empty() {
             return;
         }
         // Re-frame byte-identically: framing is deterministic, so the
         // forwarded copy carries the original wire id and every dedup
         // window downstream recognizes it.
         let framed = frame_payload(id, &msg.payload);
+        for &target in &targets {
+            self.peer(target).publish_raw(&msg.channel, &framed);
+        }
+        self.shared.stats.lock().forwarded += targets.len() as u64;
+    }
 
-        if act_as_old {
-            self.emit_switch(&msg.channel, &new, plan, &quarantine);
-            self.emit_moved(id.origin, &msg.channel, &new, plan, &quarantine);
-            for target in forward_targets_old_to_new(self.me, &new) {
-                if dead.contains(&target) {
-                    continue; // never forward into the corpse
-                }
-                self.peer(target).publish_raw(&msg.channel, &framed);
-                self.shared.stats.lock().forwarded += 1;
-            }
-        } else {
-            // New home: cover unswitched subscribers still sitting on
-            // old members that left the mapping.
-            for target in forward_targets_new_to_old(self.me, &old, &new) {
-                if dead.contains(&target) {
-                    continue; // never forward into the corpse
-                }
-                self.peer(target).publish_raw(&msg.channel, &framed);
-                self.shared.stats.lock().forwarded += 1;
-            }
+    /// Re-emits every `<switch>` beacon that is due.
+    fn beacon(&mut self) {
+        let now = Instant::now();
+        let due: Vec<String> = self
+            .channels
+            .iter_mut()
+            .filter_map(|(c, s)| s.switch.as_mut()?.fire(now).then(|| c.clone()))
+            .collect();
+        for channel in due {
+            self.emit_switch(&channel);
         }
     }
 
-    fn emit_switch(
-        &mut self,
-        channel: &str,
-        new: &ChannelMapping,
-        plan: PlanId,
-        quarantine: &[Quarantine],
-    ) {
+    /// Publishes a `<switch>` to the installed new mapping of `channel` on
+    /// the channel itself.
+    fn emit_switch(&mut self, channel: &str) {
+        let Some(state) = self.channels.get(channel) else {
+            return;
+        };
         let frame = ControlFrame::Switch {
             channel: channel.to_owned(),
-            mapping: new.clone(),
-            plan,
-            quarantine: quarantine.to_vec(),
+            mapping: state.new.clone(),
+            plan: state.plan,
+            quarantine: state.quarantine.clone(),
         };
         self.watch().publish(channel, &frame.encode());
         self.shared.stats.lock().switches_emitted += 1;
     }
 
-    fn emit_moved(
-        &mut self,
-        origin: u64,
-        channel: &str,
-        new: &ChannelMapping,
-        plan: PlanId,
-        quarantine: &[Quarantine],
-    ) {
+    /// Publishes a `MOVED` to the installed new mapping of `channel` on
+    /// the control channel of the stale publisher `origin`.
+    fn emit_moved(&mut self, origin: u64, channel: &str) {
+        let Some(state) = self.channels.get(channel) else {
+            return;
+        };
         let frame = ControlFrame::Moved {
             channel: channel.to_owned(),
-            mapping: new.clone(),
-            plan,
-            quarantine: quarantine.to_vec(),
+            mapping: state.new.clone(),
+            plan: state.plan,
+            quarantine: state.quarantine.clone(),
         };
         self.watch()
             .publish(&control_channel(origin), &frame.encode());
@@ -644,6 +742,22 @@ mod tests {
             forward_targets_old_to_new(s(1), &ChannelMapping::AllPublishers(vec![s(1), s(2)])),
             vec![s(2)]
         );
+    }
+
+    #[test]
+    fn resend_spacing_doubles_up_to_the_cap() {
+        let t0 = Instant::now();
+        let mut resend = Resend::start(t0);
+        assert!(!resend.fire(t0), "the start itself is the first send");
+        let mut spacings = Vec::new();
+        for _ in 0..9 {
+            let due = resend.due;
+            assert!(!resend.fire(due - Duration::from_micros(1)));
+            assert!(resend.fire(due));
+            spacings.push((resend.due - due).as_millis());
+        }
+        assert_eq!(spacings, [20, 40, 80, 160, 320, 640, 1000, 1000, 1000]);
+        assert_eq!(RESEND_FIRST.as_millis(), 10);
     }
 
     #[test]

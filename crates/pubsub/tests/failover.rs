@@ -884,7 +884,7 @@ fn dead_broker_is_quarantined_until_it_reports_again() {
         // fresh reporter. Its reports must lift the quarantine.
         let rebind_deadline = Instant::now() + Duration::from_secs(30);
         let revived = loop {
-            match TcpBroker::bind(&victim_addr.to_string()) {
+            match TcpBroker::bind(victim_addr.to_string()) {
                 Ok(b) => break b,
                 Err(e) => {
                     assert!(

@@ -330,7 +330,7 @@ fn per_loop_stats_sum_to_aggregate() {
     );
     assert_eq!(health.open_connections, CLIENTS + 1);
     assert_eq!(health.connections_live, CLIENTS + 1);
-    assert!(health.peak_connections >= CLIENTS + 1);
+    assert!(health.peak_connections > CLIENTS);
     // Least-loaded placement: 9 connections over 4 loops can't all pile
     // onto one loop.
     assert!(per_loop.iter().filter(|l| l.connections > 0).count() >= 3);

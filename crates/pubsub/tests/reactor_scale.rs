@@ -157,7 +157,7 @@ fn ten_thousand_connections_one_fan_out() {
     let flush = broker.flush_stats();
     // conns acks + conns pushes + 1 reply, at least — and nothing
     // pathological like a syscall storm per frame.
-    assert!(flush.frames >= 2 * conns as u64 + 1);
+    assert!(flush.frames > 2 * conns as u64);
     assert!(flush.writes <= flush.frames * 2);
 
     broker.shutdown();

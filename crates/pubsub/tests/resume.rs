@@ -521,14 +521,14 @@ fn mid_outage_switch_migration_still_resumes_on_the_new_home() {
         );
 
         // Outage traffic from the stale publisher: the old home's
-        // sidecar forwards each to the new home and emits `<switch>`
-        // frames on the channel — all of it lands in broker 0's
+        // sidecar forwards each to the new home and emits a `<switch>`
+        // on the channel (then beacons) — all of it lands in broker 0's
         // retention ring, waiting for the subscriber.
         for i in 0..10 {
             publisher.publish(&channel, format!("during-{i}").as_bytes());
         }
         wait_until("forwarding window active", Duration::from_secs(20), || {
-            sidecars[0].stats().forwarded >= 10 && sidecars[0].stats().switches_emitted >= 10
+            sidecars[0].stats().forwarded >= 10 && sidecars[0].stats().switches_emitted >= 1
         });
 
         // Heal: the subscriber resumes on the old home, replays the

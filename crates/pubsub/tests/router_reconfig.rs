@@ -8,6 +8,13 @@
 //! the new plan, and all sidecar forwarding state torn down once its
 //! TTL lapses.
 //!
+//! Two more tests pin down what the old home's sidecar sends, and for
+//! how long: a subscriber that reaches the old home after the new home
+//! stopped forwarding back still hears a `<switch>` beacon and catches up
+//! by replay at the new home, and a stale publisher that never reroutes
+//! has every publication forwarded while earning a bounded number of
+//! control frames, not one per publication.
+//!
 //! Deterministic per seed: run with `CHAOS_SEED=<n>` for a different
 //! schedule (CI runs two).
 
@@ -16,10 +23,11 @@ use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use dynamoth_pubsub::dispatcher::{FORWARD_BACK_WINDOW, RESEND_CAP};
 use dynamoth_pubsub::{
     channel_id_of, ChannelChange, ChannelMapping, ChaosProxy, ClientConfig, Direction,
     DispatcherSidecar, MessageId, PlanId, Ring, RoutedClient, RouterConfig, ServerId,
-    SidecarConfig, TcpBroker, DEFAULT_VNODES,
+    SidecarConfig, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
 };
 
 const CH: &str = "hotspot";
@@ -346,5 +354,238 @@ fn hot_channel_migrates_across_live_cluster_exactly_once() {
         for broker in brokers {
             broker.shutdown();
         }
+    });
+}
+
+/// Two brokers and their sidecars, with no proxy in between, plus a
+/// channel whose ring home is broker 0: the old home of [`Pair::migrate`].
+struct Pair {
+    brokers: Vec<TcpBroker>,
+    direct: Vec<SocketAddr>,
+    sidecars: Vec<DispatcherSidecar>,
+    channel: String,
+}
+
+impl Pair {
+    fn start(seed: u64) -> Pair {
+        let brokers: Vec<TcpBroker> = (0..2)
+            .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
+            .collect();
+        let direct: Vec<SocketAddr> = brokers.iter().map(|b| b.local_addr()).collect();
+        let sidecars = (0..2)
+            .map(|i| {
+                let cfg = SidecarConfig {
+                    client: chaos_client_cfg(seed ^ (0x20 + i as u64)),
+                    ..SidecarConfig::default()
+                };
+                DispatcherSidecar::start(sid(i), direct.clone(), cfg)
+            })
+            .collect();
+        let ring = Ring::new(&[sid(0), sid(1)], DEFAULT_VNODES);
+        let channel = (0..)
+            .map(|i| format!("moving-{i}"))
+            .find(|c| ring.server_for(channel_id_of(c)).index() == 0)
+            .expect("some name homes on broker 0");
+        Pair {
+            brokers,
+            direct,
+            sidecars,
+            channel,
+        }
+    }
+
+    /// A router on the default switch grace, which the forward-back
+    /// window is sized against.
+    fn router(&self, seed: u64) -> RoutedClient {
+        RoutedClient::connect(
+            self.direct.clone(),
+            RouterConfig {
+                client: chaos_client_cfg(seed),
+                seed: Some(seed),
+                ..RouterConfig::default()
+            },
+        )
+    }
+
+    /// Moves the channel from broker 0 to broker 1 under plan 1 and waits
+    /// for both watches. Returns when the install was made.
+    fn migrate(&self) -> Instant {
+        let ch = &self.channel;
+        let on_old = self.brokers[0].channel_subscribers(ch);
+        let change = ChannelChange {
+            channel: ch.clone(),
+            old: ChannelMapping::Single(sid(0)),
+            new: ChannelMapping::Single(sid(1)),
+        };
+        let installed = Instant::now();
+        for sidecar in &self.sidecars {
+            sidecar.install(change.clone(), PlanId(1));
+        }
+        wait_until("both sidecar watches", Duration::from_secs(10), || {
+            self.brokers[0].channel_subscribers(ch) > on_old
+                && self.brokers[1].channel_subscribers(ch) >= 1
+        });
+        installed
+    }
+
+    fn shutdown(self) {
+        for sidecar in self.sidecars {
+            sidecar.shutdown();
+        }
+        for broker in self.brokers {
+            broker.shutdown();
+        }
+    }
+}
+
+#[test]
+fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home() {
+    with_deadline(60, || {
+        let seed = seed();
+        let pair = Pair::start(seed);
+        let ch = pair.channel.clone();
+        let installed = pair.migrate();
+
+        // Traffic at the new home only. Inside the forward-back window its
+        // copies reach the old home, whose sidecar takes the first one as
+        // its wrong-home observation and starts the beacon.
+        let publisher = TcpPubSubClient::connect_with(pair.direct[1], chaos_client_cfg(seed ^ 3))
+            .expect("new-home publisher");
+        for i in 0..10 {
+            publisher.publish(&ch, format!("early-{i}").as_bytes());
+        }
+        wait_until("the first <switch>", Duration::from_secs(10), || {
+            pair.sidecars[0].stats().switches_emitted >= 1
+        });
+        let closed = installed + FORWARD_BACK_WINDOW + Duration::from_millis(200);
+        std::thread::sleep(closed.saturating_duration_since(Instant::now()));
+        let forwarded_back = pair.sidecars[1].stats().forwarded;
+        assert!(forwarded_back >= 1, "the new home never forwarded back");
+
+        // A fresh router with no local plan: the ring sends it to the old
+        // home, where nothing is copied any more.
+        let sub = pair.router(seed ^ 4);
+        sub.subscribe(&ch);
+        wait_until(
+            "late subscription on the old home",
+            Duration::from_secs(10),
+            || {
+                pair.brokers[0].channel_subscribers(&ch) >= 2 // sidecar watch + subscriber
+            },
+        );
+        let confirmed = Instant::now();
+        let late: Vec<String> = (0..10).map(|i| format!("late-{i}")).collect();
+        for body in &late {
+            publisher.publish(&ch, body.as_bytes());
+        }
+
+        // Only a beacon can tell it: the first `<switch>` went out before
+        // it subscribed, and a plain subscription replays nothing.
+        let slack = Duration::from_secs(1);
+        let heard_by = (confirmed + RESEND_CAP + slack).saturating_duration_since(Instant::now());
+        wait_until("a <switch> beacon on the old home", heard_by, || {
+            sub.local_mapping(&ch) == Some((ChannelMapping::Single(sid(1)), PlanId(1)))
+        });
+
+        // The late publications reach it through the sequence-0 replay at
+        // the new home, each exactly once.
+        let mut counts: HashMap<String, usize> = HashMap::new();
+        let mut ids: HashSet<MessageId> = HashSet::new();
+        wait_until("late publications", Duration::from_secs(10), || {
+            pump_deliveries(&sub, &mut counts, &mut ids);
+            late.iter().all(|b| counts.contains_key(b))
+        });
+        let quiet = Instant::now() + Duration::from_millis(500);
+        while Instant::now() < quiet {
+            pump_deliveries(&sub, &mut counts, &mut ids);
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        for body in &late {
+            assert_eq!(
+                counts.get(body),
+                Some(&1),
+                "{body} not delivered exactly once"
+            );
+        }
+        assert_eq!(
+            pair.sidecars[1].stats().forwarded,
+            forwarded_back,
+            "the new home forwarded back after its window closed"
+        );
+
+        sub.shutdown();
+        publisher.shutdown();
+        pair.shutdown();
+    });
+}
+
+#[test]
+fn stale_publisher_that_never_reroutes_costs_a_bounded_number_of_control_frames() {
+    with_deadline(60, || {
+        let seed = seed();
+        let pair = Pair::start(seed);
+        let ch = pair.channel.clone();
+        let sub = pair.router(seed ^ 5);
+        sub.subscribe(&ch);
+        wait_until(
+            "subscription on the old home",
+            Duration::from_secs(10),
+            || pair.brokers[0].channel_subscribers(&ch) >= 1,
+        );
+        pair.migrate();
+
+        // A plain client never subscribes to its control channel, so it
+        // ignores `MOVED` and keeps publishing to the old home.
+        let publisher = TcpPubSubClient::connect_with(pair.direct[0], chaos_client_cfg(seed ^ 6))
+            .expect("stale publisher");
+        let mut counts: HashMap<String, usize> = HashMap::new();
+        let mut ids: HashSet<MessageId> = HashSet::new();
+        let mut published = Vec::new();
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(3) {
+            let body = format!("stale-{}", published.len());
+            publisher.publish(&ch, body.as_bytes());
+            published.push(body);
+            std::thread::sleep(Duration::from_millis(10));
+            pump_deliveries(&sub, &mut counts, &mut ids);
+        }
+        let stale = published.len() as u64;
+        wait_until("every stale publication", Duration::from_secs(20), || {
+            pump_deliveries(&sub, &mut counts, &mut ids);
+            pair.sidecars[0].stats().forwarded >= stale
+                && published.iter().all(|b| counts.contains_key(b))
+        });
+        let quiet = Instant::now() + Duration::from_millis(500);
+        while Instant::now() < quiet {
+            pump_deliveries(&sub, &mut counts, &mut ids);
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        assert_eq!(counts.len(), published.len(), "unexpected extra payloads");
+        for body in &published {
+            assert_eq!(
+                counts.get(body),
+                Some(&1),
+                "{body} not delivered exactly once"
+            );
+        }
+        assert_eq!(
+            sub.local_mapping(&ch),
+            Some((ChannelMapping::Single(sid(1)), PlanId(1)))
+        );
+        let old_home = pair.sidecars[0].stats();
+        assert_eq!(old_home.forwarded, stale, "{old_home:?}");
+        assert!(
+            (1..=20).contains(&old_home.switches_emitted),
+            "<switch> frames not bounded: {old_home:?} for {stale} publications"
+        );
+        assert!(
+            (1..=20).contains(&old_home.moved_emitted),
+            "MOVED frames not bounded: {old_home:?} for {stale} publications"
+        );
+
+        sub.shutdown();
+        publisher.shutdown();
+        pair.shutdown();
     });
 }

@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use dynamoth_pubsub::{ChaosProxy, ClientConfig, TcpBroker, TcpPubSubClient};
+use dynamoth_pubsub::{ChaosProxy, ClientConfig, TcpBroker, TcpPubSubClient, Timing};
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -24,10 +24,8 @@ fn env_u64(key: &str, default: u64) -> u64 {
 
 fn cfg(seed: u64) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        heartbeat_interval: Duration::from_millis(100),
-        liveness_timeout: Duration::from_secs(2),
+        timing: Timing::new(Duration::from_millis(20), Duration::from_secs(1), 3)
+            .expect("valid timing"),
         tick: Duration::from_millis(2),
         seed: Some(seed),
         ..ClientConfig::default()

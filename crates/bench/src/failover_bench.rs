@@ -1,6 +1,7 @@
 //! Whole-broker failover benchmark (DESIGN.md §12): the kill-to-dead
 //! detection latency and post-failover delivery accounting as a
-//! function of the detector's `{suspect_after, report_interval}` knobs.
+//! function of the detector's `{suspect_after, report_interval}` inputs
+//! to the deployment's [`Timing`].
 //!
 //! Each cell runs three brokers behind per-broker [`ChaosProxy`]s —
 //! clients, sidecars, reporters and the balancer's confirmation probes
@@ -23,18 +24,20 @@ use std::time::{Duration, Instant};
 use dynamoth_pubsub::{
     channel_id_of, BalancerConfig, ChaosProxy, ClientConfig, ClientEvent, DispatcherSidecar,
     GapReason, LiveLoadBalancer, LoadReporter, Ring, RoutedClient, RouterConfig, ServerId,
-    SidecarConfig, TcpBroker, DEFAULT_VNODES,
+    SidecarConfig, TcpBroker, Timing, DEFAULT_VNODES,
 };
+
+/// Round-trip bound of the bench's proxied loopback paths: confirmation
+/// probes time out after five of them (250 ms).
+const RTT: Duration = Duration::from_millis(50);
 
 /// One cell of the failover grid.
 #[derive(Debug, Clone)]
 pub struct FailoverBenchConfig {
-    /// Missed report intervals before a broker is suspect (`K`).
-    pub suspect_after: u32,
-    /// LLA report interval.
-    pub report_interval: Duration,
-    /// Confirmation-probe timeout.
-    pub probe_timeout: Duration,
+    /// The timing every component of the cell shares: its report
+    /// interval, `suspect_after` (`K`) and probe timeout define the
+    /// detector.
+    pub timing: Timing,
     /// Channels homed on the victim (all killed at once).
     pub channels: usize,
     /// Publication payload size in bytes.
@@ -46,9 +49,7 @@ pub struct FailoverBenchConfig {
 impl Default for FailoverBenchConfig {
     fn default() -> Self {
         FailoverBenchConfig {
-            suspect_after: 3,
-            report_interval: Duration::from_millis(100),
-            probe_timeout: Duration::from_millis(250),
+            timing: Timing::new(RTT, Duration::from_millis(100), 3).expect("valid timing"),
             channels: 6,
             payload_bytes: 512,
             seed: 0xFA11,
@@ -65,8 +66,9 @@ pub struct FailoverBenchRow {
     pub report_interval_ms: f64,
     /// Kill → balancer declares the broker dead, milliseconds.
     pub kill_to_dead_ms: f64,
-    /// The analytic detection bound `K·interval + probe_timeout`,
-    /// milliseconds (no scheduling slack).
+    /// The analytic detection bound [`Timing::detect_bound`]
+    /// (`K·interval + probe_timeout`), milliseconds (no scheduling
+    /// slack).
     pub detect_bound_ms: f64,
     /// Kill → router-side `Gap {{ reason: Failover }}` at the
     /// subscriber, milliseconds.
@@ -87,13 +89,9 @@ pub struct FailoverBenchRow {
     pub cap_ratio: f64,
 }
 
-fn bench_client(seed: u64) -> ClientConfig {
+fn bench_client(seed: u64, timing: Timing) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        connect_timeout: Duration::from_millis(250),
-        heartbeat_interval: Duration::from_millis(100),
-        liveness_timeout: Duration::from_secs(2),
+        timing,
         tick: Duration::from_millis(5),
         seed: Some(seed),
         ..ClientConfig::default()
@@ -113,6 +111,7 @@ fn wait(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
 /// loss.
 pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
     let seed = cfg.seed;
+    let timing = cfg.timing;
     let brokers: Vec<TcpBroker> = (0..3)
         .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
         .collect();
@@ -130,9 +129,8 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
                 ServerId::from_index(i),
                 proxied.clone(),
                 SidecarConfig {
-                    ttl: Duration::from_secs(30),
                     tick: Duration::from_millis(5),
-                    client: bench_client(seed ^ (0x50 + i as u64)),
+                    client: bench_client(seed ^ (0x50 + i as u64), timing),
                 },
             )
         })
@@ -145,8 +143,7 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
                 b.load_handle(),
                 i,
                 proxied[i],
-                cfg.report_interval,
-                bench_client(seed ^ (0x60 + i as u64)),
+                bench_client(seed ^ (0x60 + i as u64), timing),
             )
         })
         .collect();
@@ -163,11 +160,7 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
         .collect();
 
     let router_cfg = |s: u64| RouterConfig {
-        client: bench_client(s),
-        switch_grace: Duration::from_secs(1),
-        failover_after: Duration::from_millis(700),
-        probe_timeout: cfg.probe_timeout,
-        reprobe_interval: Duration::from_millis(500),
+        client: bench_client(s, timing),
         seed: Some(s),
         ..RouterConfig::default()
     };
@@ -186,14 +179,9 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
             // High floor: the ordinary balancer stays quiet, so the
             // emergency replan is the only mover (see tests/failover.rs).
             capacity_floor: 500_000.0,
-            tick: Duration::from_millis(100),
             window: 2,
             warmup_ticks: 2,
-            install_refresh: Duration::from_secs(2),
-            client: bench_client(seed ^ 3),
-            report_interval: cfg.report_interval,
-            suspect_after: cfg.suspect_after,
-            probe_timeout: cfg.probe_timeout,
+            client: bench_client(seed ^ 3, timing),
             ..BalancerConfig::default()
         },
     );
@@ -291,12 +279,10 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
     let kill_to_recovered_ms = killed_at.elapsed().as_secs_f64() * 1_000.0;
 
     let row = FailoverBenchRow {
-        suspect_after: cfg.suspect_after,
-        report_interval_ms: cfg.report_interval.as_secs_f64() * 1_000.0,
+        suspect_after: timing.suspect_after(),
+        report_interval_ms: timing.report_interval().as_secs_f64() * 1_000.0,
         kill_to_dead_ms,
-        detect_bound_ms: (cfg.report_interval * cfg.suspect_after + cfg.probe_timeout)
-            .as_secs_f64()
-            * 1_000.0,
+        detect_bound_ms: timing.detect_bound().as_secs_f64() * 1_000.0,
         kill_to_gap_ms,
         kill_to_recovered_ms,
         published: published.len(),
@@ -334,6 +320,11 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
 }
 
 /// Runs the `suspect_after × report_interval` grid.
+///
+/// # Panics
+///
+/// Panics if a cell's inputs make no valid [`Timing`] (a zero
+/// `suspect_after` or report interval).
 pub fn failover_grid(
     suspect_afters: &[u32],
     report_intervals_ms: &[u64],
@@ -342,9 +333,11 @@ pub fn failover_grid(
     let mut rows = Vec::new();
     for &suspect_after in suspect_afters {
         for &interval_ms in report_intervals_ms {
+            let interval = Duration::from_millis(interval_ms);
+            let timing = Timing::new(RTT, interval, suspect_after)
+                .unwrap_or_else(|e| panic!("K={suspect_after}, interval={interval_ms} ms: {e}"));
             rows.push(bench_failover(&FailoverBenchConfig {
-                suspect_after,
-                report_interval: Duration::from_millis(interval_ms),
+                timing,
                 seed,
                 ..FailoverBenchConfig::default()
             }));

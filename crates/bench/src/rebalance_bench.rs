@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
     channel_id_of, BalancerConfig, ClientConfig, DispatcherSidecar, LiveLoadBalancer, LoadReporter,
-    Ring, RoutedClient, RouterConfig, ServerId, SidecarConfig, TcpBroker, DEFAULT_VNODES,
+    Ring, RoutedClient, RouterConfig, ServerId, SidecarConfig, TcpBroker, Timing, DEFAULT_VNODES,
 };
 
 const BROKERS: usize = 3;
@@ -113,8 +113,13 @@ pub struct RebalanceBenchRow {
     pub reactive_migrations: u64,
 }
 
+/// Every component shares one timing: the default loopback round-trip
+/// bound, and brokers reporting every 100 ms to a balancer evaluating on
+/// the same clock.
 fn quiet_client(seed: u64) -> ClientConfig {
+    let rtt = Timing::default().rtt();
     ClientConfig {
+        timing: Timing::new(rtt, Duration::from_millis(100), 3).expect("valid timing"),
         tick: Duration::from_millis(1),
         seed: Some(seed),
         ..ClientConfig::default()
@@ -135,7 +140,6 @@ pub fn bench_rebalance(cfg: &RebalanceBenchConfig) -> RebalanceBenchRow {
                 SidecarConfig {
                     tick: Duration::from_millis(2),
                     client: quiet_client(cfg.seed ^ (0x30 + i as u64)),
-                    ..SidecarConfig::default()
                 },
             )
         })
@@ -149,7 +153,6 @@ pub fn bench_rebalance(cfg: &RebalanceBenchConfig) -> RebalanceBenchRow {
                     b.load_handle(),
                     i,
                     directory[i],
-                    Duration::from_millis(100),
                     quiet_client(cfg.seed ^ (0x40 + i as u64)),
                 )
             })
@@ -158,10 +161,8 @@ pub fn bench_rebalance(cfg: &RebalanceBenchConfig) -> RebalanceBenchRow {
             directory.clone(),
             BalancerConfig {
                 capacity_floor: cfg.capacity_floor,
-                tick: Duration::from_millis(100),
                 window: 2,
                 warmup_ticks: 2,
-                install_refresh: Duration::from_secs(2),
                 placement_pass: cfg.placement_pass,
                 client: quiet_client(cfg.seed ^ 0x50),
                 ..BalancerConfig::default()

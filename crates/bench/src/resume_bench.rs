@@ -19,7 +19,7 @@ use std::io::Write as IoWrite;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
-    BrokerConfig, ChaosProxy, ClientConfig, ClientEvent, TcpBroker, TcpPubSubClient,
+    BrokerConfig, ChaosProxy, ClientConfig, ClientEvent, TcpBroker, TcpPubSubClient, Timing,
 };
 
 /// One cell of the resume grid.
@@ -71,14 +71,12 @@ pub struct ResumeBenchRow {
 
 fn bench_client(seed: u64) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(5),
-        reconnect_cap: Duration::from_millis(50),
-        connect_timeout: Duration::from_millis(500),
-        // A tight liveness deadline: connections half-opened into the
-        // black hole die fast, so the measured catch-up time reflects
-        // reconnect + replay rather than dead-connection detection.
-        heartbeat_interval: Duration::from_millis(50),
-        liveness_timeout: Duration::from_millis(300),
+        // A 10 ms round-trip bound makes a tight liveness deadline
+        // (300 ms): connections half-opened into the black hole die
+        // fast, so the measured catch-up time reflects reconnect + replay
+        // rather than dead-connection detection.
+        timing: Timing::new(Duration::from_millis(10), Duration::from_secs(1), 3)
+            .expect("valid timing"),
         tick: Duration::from_millis(1),
         seed: Some(seed),
         ..ClientConfig::default()

@@ -70,33 +70,25 @@ pub struct BalancerConfig {
     /// Provisioned broker capacity in bytes per report interval — the
     /// floor of the observed-capacity estimate (`T_i`).
     pub capacity_floor: f64,
-    /// Evaluation cadence. Keep close to the [`LoadReporter`] interval:
-    /// the metrics window counts reports, not wall time.
-    pub tick: Duration,
     /// Sliding metrics window, in reports per broker.
     pub window: usize,
     /// Evaluation ticks to wait before the first rebalancing decision,
     /// so the window holds real measurements instead of startup zeros.
     pub warmup_ticks: u64,
-    /// How long plan-delta installs are re-published after a migration,
-    /// refreshing the sidecars' forwarding TTL across the window.
-    pub install_refresh: Duration,
-    /// Tuning for the balancer's own broker connections.
+    /// Tuning for the balancer's own broker connections. Its
+    /// [`Timing`](crate::Timing) also sets the balancer's clock: it evaluates
+    /// once per [`Timing::report_interval`](crate::Timing::report_interval),
+    /// the [`LoadReporter`] cadence (the metrics window counts reports, not
+    /// wall time); it re-publishes each plan delta for
+    /// [`Timing::install_refresh`](crate::Timing::install_refresh); and it runs
+    /// the failure detector. A broker whose last `DMLLA1` report is older than
+    /// [`Timing::failover_after`](crate::Timing::failover_after) becomes
+    /// **suspect** and is probed with a bare TCP connect of
+    /// [`Timing::probe_timeout`](crate::Timing::probe_timeout). A suspect whose
+    /// probe *succeeds* stays suspect — its reporter is wedged but the broker
+    /// serves, and failing over a serving broker would split routing. Only a
+    /// failed probe declares death.
     pub client: ClientConfig,
-    /// The [`LoadReporter`] cadence the balancer expects. Together with
-    /// [`Self::suspect_after`] this defines the failure detector: a
-    /// broker whose last `DMLLA1` report is older than
-    /// `suspect_after × report_interval` becomes **suspect**.
-    pub report_interval: Duration,
-    /// Missed report intervals before a broker becomes suspect (K in
-    /// the kill-to-recovery SLO `K·report_interval + probe_timeout`).
-    pub suspect_after: u32,
-    /// Timeout of the confirmation probe (a bare TCP connect to the
-    /// suspect). A suspect whose probe *succeeds* stays suspect — its
-    /// reporter is wedged but the broker serves, and failing over a
-    /// serving broker would split routing. Only a failed probe declares
-    /// death.
-    pub probe_timeout: Duration,
     /// Enables the proactive bounded-load placement pass: each
     /// evaluation, channels observed in `DMLLA1` reports that have no
     /// plan entry and whose ring home violates the `(1+ε)×`-mean cap
@@ -110,14 +102,9 @@ impl Default for BalancerConfig {
         BalancerConfig {
             tuning: Tuning::default(),
             capacity_floor: 1_000_000.0,
-            tick: Duration::from_secs(1),
             window: 3,
             warmup_ticks: 3,
-            install_refresh: Duration::from_secs(3),
             client: ClientConfig::default(),
-            report_interval: Duration::from_secs(1),
-            suspect_after: 3,
-            probe_timeout: Duration::from_millis(500),
             placement_pass: true,
         }
     }
@@ -189,8 +176,9 @@ pub struct ReplanSummary {
     pub mean_survivor_lr: f64,
 }
 
-/// Publishes one broker's load reports on its `__dmc.lla.*` channel at
-/// a fixed interval (see module docs).
+/// Publishes one broker's load reports on its `__dmc.lla.*` channel once per
+/// [`Timing::report_interval`](crate::Timing::report_interval) (see module
+/// docs).
 pub struct LoadReporter {
     running: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
@@ -198,17 +186,17 @@ pub struct LoadReporter {
 
 impl LoadReporter {
     /// Starts reporting for the broker with directory index `broker`,
-    /// reachable at `addr`, harvesting through `handle` every
-    /// `interval`.
+    /// reachable at `addr`, harvesting through `handle` once per
+    /// `client.timing`'s report interval.
     pub fn start(
         handle: BrokerLoadHandle,
         broker: usize,
         addr: SocketAddr,
-        interval: Duration,
         client: ClientConfig,
     ) -> LoadReporter {
         let running = Arc::new(AtomicBool::new(true));
         let flag = Arc::clone(&running);
+        let interval = client.timing.report_interval();
         let thread = std::thread::spawn(move || {
             let conn = TcpPubSubClient::connect_addr(addr, client);
             let channel = lla_channel(broker);
@@ -272,6 +260,34 @@ impl std::fmt::Debug for LoadReporter {
 }
 
 /// The live balancing service (see module docs).
+///
+/// # Examples
+///
+/// Whole-broker failover: one [`Timing`](crate::Timing) shared by the
+/// balancer, the reporters and the routers sets the detector. A broker
+/// that misses `suspect_after` reports is suspect; a failed confirmation
+/// probe declares it dead, within
+/// [`Timing::detect_bound`](crate::Timing::detect_bound).
+///
+/// ```no_run
+/// use std::time::Duration;
+/// use dynamoth_pubsub::{BalancerConfig, ClientConfig, LiveLoadBalancer, Timing};
+///
+/// let directory = vec!["10.0.0.1:6379".parse().unwrap(),
+///                      "10.0.0.2:6379".parse().unwrap()];
+/// // Round trips under 100 ms, one report per second, suspect after
+/// // 3 missed reports: probes time out after 500 ms.
+/// let timing = Timing::new(Duration::from_millis(100), Duration::from_secs(1), 3)
+///     .expect("valid timing");
+/// let balancer = LiveLoadBalancer::start(directory, BalancerConfig {
+///     client: ClientConfig { timing, ..ClientConfig::default() },
+///     ..BalancerConfig::default()
+/// });
+/// // ... a broker host dies; it is declared dead within timing.detect_bound() ...
+/// let stats = balancer.stats();
+/// println!("dead: {:?}, quarantined: {:?}, replan: {:?}",
+///          stats.deaths_declared, stats.quarantined, stats.last_replan);
+/// ```
 pub struct LiveLoadBalancer {
     running: Arc<AtomicBool>,
     stats: Arc<Mutex<LiveBalancerStats>>,
@@ -336,9 +352,10 @@ impl std::fmt::Debug for LiveLoadBalancer {
     }
 }
 
-/// A plan delta awaiting its refresh window: re-published every tick
-/// until `installed_at + install_refresh`, so sidecar forwarding TTLs
-/// stay fresh for the whole reconfiguration window.
+/// A plan delta awaiting its refresh window: re-published every tick until
+/// `installed_at +`
+/// [`Timing::install_refresh`](crate::Timing::install_refresh), so sidecar
+/// forwarding TTLs stay fresh for the whole reconfiguration window.
 struct PendingInstall {
     installed_at: Instant,
     frame: InstallFrame,
@@ -445,7 +462,7 @@ impl Engine {
 
     fn run(mut self) {
         while self.running.load(Ordering::SeqCst) {
-            std::thread::sleep(self.cfg.tick);
+            std::thread::sleep(self.cfg.client.timing.report_interval());
             self.ingest();
             self.ticks += 1;
             self.detect_failures();
@@ -538,14 +555,16 @@ impl Engine {
         }
     }
 
-    /// The suspect → probe → dead state machine. A broker is suspect
-    /// once its last report is older than `suspect_after ×
-    /// report_interval`; a suspect is probed every tick with a bare TCP
-    /// connect. Probe success keeps it suspect (broker alive, reporter
-    /// wedged — failing over a serving broker would split routing);
-    /// probe failure declares death and triggers the emergency replan.
+    /// The suspect → probe → dead state machine. A broker is suspect once its
+    /// last report is older than
+    /// [`Timing::failover_after`](crate::Timing::failover_after); a suspect is
+    /// probed every tick with a bare TCP connect. Probe success keeps it
+    /// suspect (broker alive, reporter wedged — failing over a serving broker
+    /// would split routing); probe failure declares death and triggers the
+    /// emergency replan.
     fn detect_failures(&mut self) {
-        let threshold = self.cfg.report_interval * self.cfg.suspect_after.max(1);
+        let threshold = self.cfg.client.timing.failover_after();
+        let probe_timeout = self.cfg.client.timing.probe_timeout();
         let mut deaths = Vec::new();
         for idx in 0..self.directory.len() {
             if self.quarantined.contains_key(&idx) {
@@ -556,7 +575,7 @@ impl Engine {
                 continue;
             }
             self.suspects.insert(idx);
-            if TcpStream::connect_timeout(&self.directory[idx], self.cfg.probe_timeout).is_err() {
+            if TcpStream::connect_timeout(&self.directory[idx], probe_timeout).is_err() {
                 deaths.push(idx);
             }
         }
@@ -1011,7 +1030,7 @@ impl Engine {
     /// refreshed across the reconfiguration window (the install path is
     /// idempotent per (channel, plan)).
     fn refresh_installs(&mut self) {
-        let refresh = self.cfg.install_refresh;
+        let refresh = self.cfg.client.timing.install_refresh();
         let now = Instant::now();
         self.pending_installs
             .retain(|p| now.duration_since(p.installed_at) < refresh);
@@ -1056,11 +1075,5 @@ mod tests {
         assert!(cfg.window >= 1);
         assert!(cfg.warmup_ticks >= 1);
         assert!(cfg.capacity_floor > 0.0);
-        assert!(cfg.install_refresh > cfg.tick);
-        assert!(cfg.suspect_after >= 1);
-        assert!(cfg.probe_timeout > Duration::ZERO);
-        // The detector must tolerate at least one report interval of
-        // jitter before suspecting anyone.
-        assert!(cfg.report_interval * cfg.suspect_after >= cfg.report_interval);
     }
 }

@@ -28,7 +28,7 @@
 //!   a sliding dedup window, giving exactly-once delivery to a
 //!   connected subscriber across broker failures.
 //! - **Liveness**: `PING` heartbeats plus a receive deadline detect a
-//!   silent (half-open) broker within [`ClientConfig::liveness_timeout`]
+//!   silent (half-open) broker within [`Timing::liveness_timeout`]
 //!   instead of hanging forever.
 //! - **Observability**: every state change is surfaced as a
 //!   [`ClientEvent`] (`Connected` / `Disconnected` / `Resubscribed` /
@@ -72,26 +72,23 @@ use parking_lot::Mutex;
 use crate::resp::{self, Value};
 use crate::rng::SplitMix64;
 use crate::seq;
+use crate::timing::Timing;
 
 /// Tuning knobs of a [`TcpPubSubClient`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// First-retry backoff ceiling; doubles per failed attempt.
-    pub reconnect_base: Duration,
-    /// Upper bound of the backoff ceiling.
-    pub reconnect_cap: Duration,
+    /// The deployment's timing model. The client reads its reconnect
+    /// backoff, connect timeout, heartbeat and liveness deadline from it;
+    /// a connection that has received nothing for
+    /// [`Timing::liveness_timeout`] is declared dead
+    /// ([`DisconnectReason::LivenessTimeout`]) — this is what catches
+    /// half-open connections that TCP alone never reports. Routers,
+    /// sidecars, reporters and the balancer read theirs from the
+    /// `ClientConfig` they embed.
+    pub timing: Timing,
     /// Consecutive failed connection attempts before the client emits
     /// [`ClientEvent::GaveUp`] and stops. `None` retries forever.
     pub max_reconnect_attempts: Option<u32>,
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
-    /// How often to send `PING` when the connection is otherwise idle
-    /// (clamped to at most half the liveness timeout).
-    pub heartbeat_interval: Duration,
-    /// A connection that has received nothing for this long is declared
-    /// dead ([`DisconnectReason::LivenessTimeout`]) — this is what
-    /// catches half-open connections that TCP alone never reports.
-    pub liveness_timeout: Duration,
     /// Sliding dedup window size, in message ids (the paper's
     /// duplicate-suppression window).
     pub dedup_window: usize,
@@ -115,12 +112,8 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            reconnect_base: Duration::from_millis(50),
-            reconnect_cap: Duration::from_secs(2),
+            timing: Timing::default(),
             max_reconnect_attempts: None,
-            connect_timeout: Duration::from_secs(1),
-            heartbeat_interval: Duration::from_millis(500),
-            liveness_timeout: Duration::from_secs(3),
             dedup_window: 1024,
             publish_retries: 8,
             tick: Duration::from_millis(20),
@@ -785,7 +778,7 @@ impl Worker {
         // Failed attempts since the last connection that received data.
         let mut attempts: u32 = 0;
         while self.running() {
-            match TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout) {
+            match TcpStream::connect_timeout(&self.addr, self.cfg.timing.connect_timeout()) {
                 Ok(stream) => {
                     attempts += 1;
                     self.emit(ClientEvent::Connected { attempt: attempts });
@@ -863,13 +856,10 @@ impl Worker {
                 channels: self.desired.len(),
             });
         }
-        // PING often enough that a silent broker misses several
-        // heartbeats before the liveness deadline fires.
-        let ping_every = self
-            .cfg
-            .heartbeat_interval
-            .min(self.cfg.liveness_timeout / 2)
-            .max(Duration::from_millis(1));
+        // A silent broker misses several heartbeats before the liveness
+        // deadline fires.
+        let ping_every = self.cfg.timing.heartbeat_interval();
+        let liveness = self.cfg.timing.liveness_timeout();
         let mut last_rx = Instant::now();
         let mut last_ping = Instant::now();
         let mut got_data = false;
@@ -905,7 +895,7 @@ impl Worker {
                             || e.kind() == std::io::ErrorKind::TimedOut => {}
                     Err(_) => break 'fail Some(DisconnectReason::Io),
                 }
-                if last_rx.elapsed() > self.cfg.liveness_timeout {
+                if last_rx.elapsed() > liveness {
                     break 'fail Some(DisconnectReason::LivenessTimeout);
                 }
                 if last_ping.elapsed() >= ping_every {
@@ -1122,8 +1112,8 @@ impl Worker {
     /// Sleeps for a full-jitter backoff delay, staying responsive to
     /// shutdown and still absorbing caller commands.
     fn backoff_sleep(&mut self, attempts: u32) {
-        let base = self.cfg.reconnect_base.as_millis().max(1) as u64;
-        let cap = self.cfg.reconnect_cap.as_millis().max(1) as u64;
+        let base = self.cfg.timing.reconnect_base().as_millis().max(1) as u64;
+        let cap = self.cfg.timing.reconnect_cap().as_millis().max(1) as u64;
         let exp = attempts.saturating_sub(1).min(16);
         let ceiling = cap.min(base.saturating_mul(1u64 << exp)).max(1);
         let delay = Duration::from_millis(1 + self.rng.next_below(ceiling));

@@ -22,11 +22,19 @@
 //!   [`ControlFrame::Moved`] on that publisher's control channel, so its
 //!   local plan catches up; it is re-sent on the same schedule, but only
 //!   while that origin keeps publishing here;
-//! - the **new-home** sidecar forwards publications back to old members
-//!   still holding unswitched subscribers, for [`FORWARD_BACK_WINDOW`]
-//!   after the (channel, plan) was first installed. A switched
-//!   subscriber needs no copies: it catches up by sequence replay at the
-//!   new home.
+//! - the **new-home** sidecar forwards publications back to old members still
+//!   holding unswitched subscribers, for
+//!   [`Timing::forward_back_window`](crate::Timing::forward_back_window) after
+//!   the (channel, plan) was first installed; a refresh under the same plan id
+//!   does not restart it. A switched subscriber needs no copies: it subscribes
+//!   at the new home from sequence 0, so the replay covers everything the old
+//!   home did not carry, and it keeps its old subscription for
+//!   [`Timing::switch_grace`](crate::Timing::switch_grace) while the new one is
+//!   being established. The window is twice the grace, so a subscriber that
+//!   switched on the first `<switch>` keeps its live feed until its new-home
+//!   subscription delivers. A subscriber still unswitched when the window
+//!   closes hears the beacon within [`RESEND_CAP`] and catches up by the same
+//!   replay.
 //!
 //! Forwarding means neither a stale publisher nor a stale subscriber
 //! loses messages, and preserved wire ids mean the receive-side dedup
@@ -36,10 +44,11 @@
 //! ping-pong between brokers forever — and are counted in
 //! [`SidecarStats::unforwardable`].
 //!
-//! All per-channel state — the forwarding rule, the beacon and the
-//! per-origin `MOVED` schedules — carries a TTL; once it lapses (the
-//! paper keeps forwarding "for a certain amount of time"), the sidecar
-//! unsubscribes its watch and drops it.
+//! All per-channel state — the forwarding rule, the beacon and the per-origin
+//! `MOVED` schedules — carries a TTL ([`Timing::ttl`](crate::Timing::ttl),
+//! longer than every window that reads the state); once it lapses (the paper
+//! keeps forwarding "for a certain amount of time"), the sidecar unsubscribes
+//! its watch and drops it.
 //!
 //! The watch rides a resume-enabled [`TcpPubSubClient`], so a watch
 //! connection that drops mid-window resumes from its per-channel
@@ -71,22 +80,6 @@ use crate::plan::ChannelMapping;
 /// Dedup window (wire ids) for forwarding-loop suppression.
 const DEDUP_WINDOW: usize = 4096;
 
-/// How long a new home forwards publications back to the channel's old
-/// home(s), counted from the first install of the (channel, plan); a
-/// refresh under the same plan id does not restart it.
-///
-/// The copies keep subscribers that have not switched yet fed live. A
-/// switched subscriber subscribes at the new home from sequence 0, so the
-/// replay covers everything the old home did not carry, and it keeps its
-/// old subscription for `RouterConfig::switch_grace` while the new one is
-/// being established. The window must therefore outlast the switch grace
-/// (1 s by default; this is twice that), or a subscriber that switched on
-/// the first `<switch>` could lose its live feed before its new-home
-/// subscription delivers. A subscriber still unswitched when the window
-/// closes hears the beacon within [`RESEND_CAP`] and catches up by the
-/// same replay.
-pub const FORWARD_BACK_WINDOW: Duration = Duration::from_secs(2);
-
 /// First spacing of a re-send schedule: the `<switch>` beacon and each
 /// stale origin's `MOVED`. Every re-send doubles it, up to [`RESEND_CAP`].
 pub const RESEND_FIRST: Duration = Duration::from_millis(10);
@@ -98,18 +91,18 @@ pub const RESEND_CAP: Duration = Duration::from_secs(1);
 /// Tuning knobs of a [`DispatcherSidecar`].
 #[derive(Debug, Clone)]
 pub struct SidecarConfig {
-    /// How long forwarding/switch state lives after installation.
-    pub ttl: Duration,
     /// Pump thread granularity.
     pub tick: Duration,
-    /// Tuning for the underlying broker connections.
+    /// Tuning for the underlying broker connections. Its
+    /// [`Timing`](crate::Timing) also sets how long forwarding/switch state
+    /// lives after installation ([`Timing::ttl`](crate::Timing::ttl)) and the
+    /// new home's forward-back window.
     pub client: ClientConfig,
 }
 
 impl Default for SidecarConfig {
     fn default() -> Self {
         SidecarConfig {
-            ttl: Duration::from_secs(10),
             tick: Duration::from_millis(5),
             client: ClientConfig::default(),
         }
@@ -173,7 +166,7 @@ struct ChannelState {
     /// targets a quarantined broker.
     quarantine: Vec<Quarantine>,
     /// First install of this (channel, plan): opens the new home's
-    /// [`FORWARD_BACK_WINDOW`].
+    /// [`Timing::forward_back_window`](crate::Timing::forward_back_window).
     installed_at: Instant,
     /// The `<switch>` beacon, started by the first wrong-home observation.
     switch: Option<Resend>,
@@ -270,10 +263,11 @@ impl DispatcherSidecar {
         }
     }
 
-    /// Installs reconfiguration state for one migrated channel under
-    /// plan version `plan`. Idempotent per (channel, plan): re-installing
-    /// refreshes the TTL, but not the [`FORWARD_BACK_WINDOW`] or the
-    /// re-send schedules.
+    /// Installs reconfiguration state for one migrated channel under plan
+    /// version `plan`. Idempotent per (channel, plan): re-installing refreshes
+    /// the TTL, but not the
+    /// [`Timing::forward_back_window`](crate::Timing::forward_back_window) or
+    /// the re-send schedules.
     pub fn install(&self, change: ChannelChange, plan: PlanId) {
         self.shared.installs.lock().push(Install {
             change,
@@ -423,7 +417,7 @@ impl Pump {
                 old: change.old,
                 new: change.new,
                 plan,
-                expires_at: now + self.cfg.ttl,
+                expires_at: now + self.cfg.client.timing.ttl(),
                 quarantine,
                 installed_at: now,
                 switch: None,
@@ -431,8 +425,8 @@ impl Pump {
             };
             match self.channels.get_mut(&change.channel) {
                 Some(existing) if existing.plan > plan => continue,
-                // A refresh (the balancer re-sends installs every
-                // `install_refresh`) extends the TTL only: the
+                // A refresh (the balancer re-sends installs for
+                // `Timing::install_refresh`) extends the TTL only: the
                 // forward-back window and the re-send schedules run on.
                 Some(existing) if existing.plan == plan => {
                     state.installed_at = existing.installed_at;
@@ -534,6 +528,7 @@ impl Pump {
             return;
         }
         let now = Instant::now();
+        let forward_back_window = self.cfg.client.timing.forward_back_window();
         let Some(state) = self.channels.get_mut(&msg.channel) else {
             return; // teardown raced a late delivery
         };
@@ -568,7 +563,7 @@ impl Pump {
                         Entry::Occupied(mut slot) => slot.get_mut().fire(now),
                     };
                     targets = forward_targets_old_to_new(self.me, &state.new);
-                } else if now < state.installed_at + FORWARD_BACK_WINDOW {
+                } else if now < state.installed_at + forward_back_window {
                     // New home: cover unswitched subscribers still sitting
                     // on old members that left the mapping.
                     targets = forward_targets_new_to_old(self.me, &state.old, &state.new);

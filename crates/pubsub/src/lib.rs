@@ -48,6 +48,7 @@ mod seq;
 mod server;
 mod shard;
 mod timer;
+pub mod timing;
 
 pub use balance::{bounded::BoundedPlacer, CapacityEstimator, Tuning};
 pub use balancer::{
@@ -75,3 +76,4 @@ pub use outbox::OverflowPolicy;
 pub use plan::{ChannelMapping, Plan, PlanChange, PlanError};
 pub use router::{RoutedClient, RouterConfig, RouterEvent, RouterStats};
 pub use server::{CpuModel, PubSubServer, PublishOutcome};
+pub use timing::{Timing, TimingError};

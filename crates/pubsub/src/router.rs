@@ -19,11 +19,10 @@
 //!   [`ControlFrame::Switch`] on a subscribed channel (the channel
 //!   moved away from a broker it is subscribed on). On a switch the
 //!   client subscribes at the new location immediately but keeps the
-//!   old subscription for a grace period
-//!   ([`RouterConfig::switch_grace`]) — the new subscription rides a
-//!   possibly brand-new TCP connection, so tearing the old one down
-//!   right away would open a loss window. The overlap only produces
-//!   duplicates, which the dedup window absorbs.
+//!   old subscription for a grace period ([`Timing::switch_grace`]) —
+//!   the new subscription rides a possibly brand-new TCP connection, so
+//!   tearing the old one down right away would open a loss window. The
+//!   overlap only produces duplicates, which the dedup window absorbs.
 //! - A router-level dedup window spanning **all** broker connections
 //!   suppresses the duplicates that reconfiguration forwarding creates
 //!   (same wire id arriving via two brokers), on top of the per
@@ -61,13 +60,14 @@
 //! The router also detects *dead* brokers on its own, mirroring the
 //! balancer's suspect/dead state machine (see `DESIGN.md` §12) from the
 //! client's seat. A broker connection that stays down past
-//! [`RouterConfig::failover_after`] without **data evidence** (a
-//! delivered message or a successful resume — a bare TCP accept is not
-//! evidence, because a half-dead host can complete handshakes while
-//! serving nothing) is confirmed with a bare TCP probe; only a *failed*
-//! probe declares the broker dead. Death re-points every subscription
-//! stranded on the corpse to the deterministic ring-exclusion fallback,
-//! surfaces a synthetic [`ClientEvent::Gap`] with
+//! [`Timing::failover_after`] — the balancer's suspect bound — without
+//! **data evidence** (a delivered message or a successful resume — a
+//! bare TCP accept is not evidence, because a half-dead host can
+//! complete handshakes while serving nothing) is confirmed with a bare
+//! TCP probe; only a *failed* probe declares the broker dead. Death
+//! re-points every subscription stranded on the corpse to the
+//! deterministic ring-exclusion fallback, surfaces a synthetic
+//! [`ClientEvent::Gap`] with
 //! [`GapReason::Failover`] per re-pointed channel (sequences are
 //! per-broker-incarnation, so the new home starts a fresh stream and
 //! continuity is impossible), rescues the dead connection's queued
@@ -76,8 +76,8 @@
 //! quarantine list short-circuit the local timer: the balancer already
 //! probed, so the router adopts the death immediately (deduplicated by
 //! broker incarnation). Dead brokers are re-probed every
-//! [`RouterConfig::reprobe_interval`]; a successful probe (or data from
-//! the broker) lifts the death mark.
+//! [`Timing::reprobe_interval`]; a successful probe (or data from the
+//! broker) lifts the death mark.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{SocketAddr, TcpStream};
@@ -97,30 +97,20 @@ use crate::hashing::{Ring, DEFAULT_VNODES};
 use crate::ids::{PlanId, ServerId};
 use crate::plan::ChannelMapping;
 use crate::rng::SplitMix64;
+use crate::timing::Timing;
 
 /// Tuning knobs of a [`RoutedClient`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Tuning for each underlying per-broker client.
+    /// Tuning for each underlying per-broker client. Its [`Timing`] also
+    /// sets the router's switch grace, failover timer, probe timeout and
+    /// re-probe spacing.
     pub client: ClientConfig,
     /// Router-level (cross-broker) dedup window, in wire ids.
     pub dedup_window: usize,
-    /// How long a superseded subscription lingers after a switch before
-    /// it is unsubscribed. Covers the connection-setup time of the new
-    /// brokers; the resulting double deliveries are deduplicated.
-    pub switch_grace: Duration,
     /// Seed for replication-mode random member picks and for deriving
     /// per-broker client seeds. `None` uses OS entropy.
     pub seed: Option<u64>,
-    /// How long a broker connection must stay down — without data
-    /// evidence; a bare TCP accept does not count — before the router
-    /// probes the broker and, if the probe fails, declares it dead.
-    pub failover_after: Duration,
-    /// Connect timeout of a death-confirmation probe.
-    pub probe_timeout: Duration,
-    /// Minimum spacing between probes of the same broker, both
-    /// confirmation probes and dead-broker revival re-probes.
-    pub reprobe_interval: Duration,
 }
 
 impl Default for RouterConfig {
@@ -128,11 +118,7 @@ impl Default for RouterConfig {
         RouterConfig {
             client: ClientConfig::default(),
             dedup_window: 8192,
-            switch_grace: Duration::from_secs(1),
             seed: None,
-            failover_after: Duration::from_secs(3),
-            probe_timeout: Duration::from_millis(500),
-            reprobe_interval: Duration::from_secs(2),
         }
     }
 }
@@ -285,13 +271,13 @@ impl BrokerHealth {
     /// its connection has been down for `failover_after`, a revival
     /// re-probe while it is dead, either no sooner than
     /// `reprobe_interval` after the last one. `None` while it is healthy.
-    fn probe_at(&self, cfg: &RouterConfig, now: Instant) -> Option<Instant> {
+    fn probe_at(&self, timing: &Timing, now: Instant) -> Option<Instant> {
         let wanted = if self.dead {
             now
         } else {
-            self.down_since? + cfg.failover_after
+            self.down_since? + timing.failover_after()
         };
-        let spaced = self.last_probe.map(|t| t + cfg.reprobe_interval);
+        let spaced = self.last_probe.map(|t| t + timing.reprobe_interval());
         Some(spaced.map_or(wanted, |s| s.max(wanted)))
     }
 }
@@ -718,7 +704,8 @@ impl Core {
         let now = Instant::now();
         let r = self.routing.lock();
         let unsubs = r.pending_unsubs.iter().map(|(due, _, _)| *due);
-        let probes = r.health.iter().filter_map(|h| h.probe_at(&self.cfg, now));
+        let timing = &self.cfg.client.timing;
+        let probes = r.health.iter().filter_map(|h| h.probe_at(timing, now));
         unsubs.chain(probes).min()
     }
 
@@ -813,7 +800,7 @@ impl Core {
         // Superseded brokers are not unsubscribed yet: the new subscriptions
         // may ride connections still being established, so the old ones
         // linger for `switch_grace` (double deliveries dedup away).
-        let due = Instant::now() + self.cfg.switch_grace;
+        let due = Instant::now() + self.cfg.client.timing.switch_grace();
         for &idx in current.difference(&wanted) {
             r.pending_unsubs.push((due, idx, channel.clone()));
         }
@@ -889,13 +876,14 @@ impl Core {
     /// so failing over would split routing for nothing), and dead brokers
     /// get a revival re-probe.
     fn check_health(&self) {
+        let timing = &self.cfg.client.timing;
         let now = Instant::now();
         let mut to_probe: Vec<(usize, bool)> = Vec::new();
         {
             let mut r = self.routing.lock();
             self.fold_alive(&mut r);
             for (idx, h) in r.health.iter_mut().enumerate() {
-                if h.probe_at(&self.cfg, now).is_some_and(|at| at <= now) {
+                if h.probe_at(timing, now).is_some_and(|at| at <= now) {
                     h.last_probe = Some(now);
                     to_probe.push((idx, h.dead));
                 }
@@ -903,7 +891,7 @@ impl Core {
         }
         for (idx, was_dead) in to_probe {
             let alive =
-                TcpStream::connect_timeout(&self.directory[idx], self.cfg.probe_timeout).is_ok();
+                TcpStream::connect_timeout(&self.directory[idx], timing.probe_timeout()).is_ok();
             if was_dead && alive {
                 // Revived: lift the death mark so routing may use the broker
                 // again (subscriptions moved away stay put until control

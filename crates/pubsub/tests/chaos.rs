@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::client::frame_payload;
@@ -21,45 +20,16 @@ use dynamoth_pubsub::{
     TcpBroker, TcpPubSubClient,
 };
 
-/// Seed for every proxy and client PRNG in the suite; override with
-/// `CHAOS_SEED=<n>` to replay a different (still deterministic) fault
-/// schedule.
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0D15_EA5E)
-}
+mod common;
 
-/// Runs `body` on its own thread with a hard deadline: a chaos bug that
-/// wedges a client or broker fails the test instead of hanging CI.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
+use common::{seed, timing, with_deadline};
 
-/// Client tuning for chaos tests: fast reconnects and ticks so faults
-/// resolve in test time, seeded so the jitter schedule replays.
+/// Client tuning for chaos tests: a 20 ms round-trip bound (fast
+/// reconnects and liveness, so faults resolve in test time) and fast
+/// ticks, seeded so the jitter schedule replays.
 fn chaos_cfg(seed: u64) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        connect_timeout: Duration::from_millis(500),
-        heartbeat_interval: Duration::from_millis(100),
-        liveness_timeout: Duration::from_secs(2),
+        timing: timing(Duration::from_millis(20)),
         tick: Duration::from_millis(5),
         seed: Some(seed),
         ..ClientConfig::default()
@@ -105,7 +75,7 @@ fn wait_subscriptions(broker: &TcpBroker, n: usize, what: &str) {
 #[test]
 fn broker_restart_reconnects_resubscribes_and_delivers_exactly_once() {
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker_a = TcpBroker::bind("127.0.0.1:0").expect("bind a");
         let proxy = ChaosProxy::spawn(broker_a.local_addr(), seed).expect("proxy");
 
@@ -237,7 +207,7 @@ fn broker_restart_reconnects_resubscribes_and_delivers_exactly_once() {
 #[test]
 fn duplicate_wire_ids_are_suppressed_and_reported() {
     with_deadline(60, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
 
         let sub = TcpPubSubClient::connect_with(broker.local_addr(), chaos_cfg(seed ^ 3))
@@ -288,16 +258,13 @@ fn duplicate_wire_ids_are_suppressed_and_reported() {
 #[test]
 fn half_open_broker_detected_within_liveness_timeout() {
     with_deadline(60, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
         let proxy = ChaosProxy::spawn(broker.local_addr(), seed).expect("proxy");
         proxy.set_black_hole(true);
 
-        let liveness = Duration::from_millis(500);
-        let cfg = ClientConfig {
-            liveness_timeout: liveness,
-            ..chaos_cfg(seed ^ 4)
-        };
+        let cfg = chaos_cfg(seed ^ 4);
+        let liveness = cfg.timing.liveness_timeout();
         let client = TcpPubSubClient::connect_with(proxy.local_addr(), cfg).expect("client");
 
         wait_for_event(&client, "connect", Duration::from_secs(10), |e| {
@@ -345,20 +312,26 @@ fn half_open_broker_detected_within_liveness_timeout() {
 }
 
 /// Stalls and added latency delay delivery but lose nothing: the
-/// connection outlives the stall (it is shorter than the liveness
-/// deadline) and every message arrives exactly once, in order.
+/// connection outlives the stall (the stall is a round trip the timing
+/// bounds, so it is shorter than the liveness deadline) and every
+/// message arrives exactly once, in order.
 #[test]
 fn stalls_and_latency_delay_but_do_not_lose_or_reorder() {
     with_deadline(60, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
         let proxy = ChaosProxy::spawn(broker.local_addr(), seed).expect("proxy");
+        let stall = Duration::from_millis(400);
+        let cfg = |seed| ClientConfig {
+            timing: timing(stall),
+            ..chaos_cfg(seed)
+        };
 
-        let sub = TcpPubSubClient::connect_with(proxy.local_addr(), chaos_cfg(seed ^ 5))
-            .expect("subscriber");
+        let sub =
+            TcpPubSubClient::connect_with(proxy.local_addr(), cfg(seed ^ 5)).expect("subscriber");
         sub.subscribe("laggy");
-        let publisher = TcpPubSubClient::connect_with(proxy.local_addr(), chaos_cfg(seed ^ 6))
-            .expect("publisher");
+        let publisher =
+            TcpPubSubClient::connect_with(proxy.local_addr(), cfg(seed ^ 6)).expect("publisher");
         wait_subscriptions(&broker, 1, "subscription");
 
         proxy.set_latency(Duration::from_millis(5));
@@ -366,8 +339,8 @@ fn stalls_and_latency_delay_but_do_not_lose_or_reorder() {
             publisher.publish("laggy", format!("m-{i}").as_bytes());
         }
         // Freeze the broker→client direction mid-stream; bytes queue
-        // behind the stall (shorter than the 2s liveness deadline).
-        proxy.stall(Direction::ServerToClient, Duration::from_millis(400));
+        // behind the stall.
+        proxy.stall(Direction::ServerToClient, stall);
         for i in 5..10 {
             publisher.publish("laggy", format!("m-{i}").as_bytes());
         }
@@ -404,7 +377,7 @@ fn stalls_and_latency_delay_but_do_not_lose_or_reorder() {
 fn torn_frames_never_panic_and_retries_still_deliver_exactly_once() {
     const MESSAGES: usize = 120;
     with_deadline(180, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
 
         // Subscriber on a clean, direct connection: it observes what

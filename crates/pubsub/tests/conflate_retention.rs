@@ -12,13 +12,16 @@
 //! Deterministic per seed: run with `CHAOS_SEED=<n>` for a different
 //! schedule (CI runs two).
 
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
     BrokerConfig, ChaosProxy, ClientConfig, ClientEvent, Direction, OverflowPolicy, TcpBroker,
     TcpPubSubClient,
 };
+
+mod common;
+
+use common::{seed, timing, wait_until, with_deadline};
 
 const FEED: &str = "prices.feed";
 const OTHER: &str = "slow.other";
@@ -28,58 +31,22 @@ const WARMUP: u64 = 5;
 const FLOOD: u64 = 2000;
 const PAYLOAD: usize = 8 * 1024;
 
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0D15_EA5E)
-}
-
-/// Hard watchdog: a wedged client, proxy or broker fails fast.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
-
+/// The test stalls the subscriber's path for 3 s, which must not read as
+/// a dead connection: a 500 ms round-trip bound puts the liveness deadline
+/// at 15 s.
 fn client_cfg(seed: u64) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        connect_timeout: Duration::from_millis(500),
-        heartbeat_interval: Duration::from_millis(500),
-        liveness_timeout: Duration::from_secs(15),
+        timing: timing(Duration::from_millis(500)),
         tick: Duration::from_millis(5),
         seed: Some(seed),
         ..ClientConfig::default()
     }
 }
 
-/// Polls `pred` until it holds; panics at the deadline.
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 #[test]
 fn conflation_advances_sequences_and_resume_replays_survivors() {
     with_deadline(180, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let config = BrokerConfig {
             // Small enough that the flood overflows it by orders of
             // magnitude; holds ~4 payload frames.

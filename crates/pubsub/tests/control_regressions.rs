@@ -23,8 +23,7 @@
 //!    dropped, as `RoutedClient` already drops such control frames.
 
 use std::net::SocketAddr;
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dynamoth_pubsub::{
     channel_id_of, install_channel, ChannelMapping, ChaosProxy, ClientConfig, ControlFrame,
@@ -32,43 +31,24 @@ use dynamoth_pubsub::{
     SidecarConfig, SidecarEvent, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
 };
 
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FF_EE00)
-}
+mod common;
 
-/// Hard watchdog: a wedged client, sidecar or broker fails fast.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
+use common::{seed, sid, timing, wait_until, with_deadline};
+
+/// A sidecar with a two-attempt retry budget and a 10 ms round-trip bound,
+/// so a black-holed path (connects succeed, nothing answers) spends the
+/// budget on 300 ms liveness timeouts.
+fn outage_cfg(seed: u64) -> SidecarConfig {
+    SidecarConfig {
+        tick: Duration::from_millis(5),
+        client: ClientConfig {
+            timing: timing(Duration::from_millis(10)),
+            tick: Duration::from_millis(5),
+            max_reconnect_attempts: Some(2),
+            seed: Some(seed),
+            ..ClientConfig::default()
+        },
     }
-}
-
-/// Polls `pred` until it holds; panics at the deadline.
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn sid(i: usize) -> ServerId {
-    ServerId::from_index(i)
 }
 
 /// The sidecar's broker connections go through a `ChaosProxy` that
@@ -80,27 +60,12 @@ fn sid(i: usize) -> ServerId {
 #[test]
 fn sidecar_survives_broker_outage_and_reports_it() {
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0xC0FF_EE00);
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind broker");
         let proxy = ChaosProxy::spawn(broker.local_addr(), seed).expect("proxy");
         let directory: Vec<SocketAddr> = vec![proxy.local_addr()];
 
-        let cfg = SidecarConfig {
-            ttl: Duration::from_secs(10),
-            tick: Duration::from_millis(5),
-            client: ClientConfig {
-                reconnect_base: Duration::from_millis(10),
-                reconnect_cap: Duration::from_millis(50),
-                connect_timeout: Duration::from_millis(300),
-                heartbeat_interval: Duration::from_millis(50),
-                liveness_timeout: Duration::from_millis(400),
-                tick: Duration::from_millis(5),
-                max_reconnect_attempts: Some(2),
-                seed: Some(seed),
-                ..ClientConfig::default()
-            },
-        };
-        let sidecar = DispatcherSidecar::start(sid(0), directory, cfg);
+        let sidecar = DispatcherSidecar::start(sid(0), directory, outage_cfg(seed));
 
         // The watch comes up eagerly and subscribes its install channel.
         wait_until("watch subscription", Duration::from_secs(10), || {
@@ -155,27 +120,12 @@ fn sidecar_survives_broker_outage_and_reports_it() {
 #[test]
 fn install_during_watch_outage_rebuilds_instead_of_panicking() {
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0xC0FF_EE00);
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind broker");
         let proxy = ChaosProxy::spawn(broker.local_addr(), seed ^ 0xA5).expect("proxy");
         let directory: Vec<SocketAddr> = vec![proxy.local_addr()];
 
-        let cfg = SidecarConfig {
-            ttl: Duration::from_secs(30),
-            tick: Duration::from_millis(5),
-            client: ClientConfig {
-                reconnect_base: Duration::from_millis(10),
-                reconnect_cap: Duration::from_millis(50),
-                connect_timeout: Duration::from_millis(300),
-                heartbeat_interval: Duration::from_millis(50),
-                liveness_timeout: Duration::from_millis(400),
-                tick: Duration::from_millis(5),
-                max_reconnect_attempts: Some(2),
-                seed: Some(seed),
-                ..ClientConfig::default()
-            },
-        };
-        let sidecar = DispatcherSidecar::start(sid(0), directory, cfg);
+        let sidecar = DispatcherSidecar::start(sid(0), directory, outage_cfg(seed));
         wait_until("watch subscription", Duration::from_secs(10), || {
             broker.channel_subscribers(&install_channel(0)) >= 1
         });
@@ -289,7 +239,7 @@ fn install_naming_a_broker_outside_the_directory_is_dropped() {
 #[test]
 fn ring_fallback_entries_never_shadow_control_frames() {
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0xC0FF_EE00);
         let brokers: Vec<TcpBroker> = (0..2)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
             .collect();
@@ -298,12 +248,13 @@ fn ring_fallback_entries_never_shadow_control_frames() {
         let sub = RoutedClient::connect(
             directory.clone(),
             RouterConfig {
+                // A 200 ms switch grace.
                 client: ClientConfig {
+                    timing: timing(Duration::from_millis(20)),
                     seed: Some(seed),
                     tick: Duration::from_millis(5),
                     ..ClientConfig::default()
                 },
-                switch_grace: Duration::from_millis(200),
                 seed: Some(seed),
                 ..RouterConfig::default()
             },

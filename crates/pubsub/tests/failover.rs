@@ -1,7 +1,7 @@
 //! Whole-broker failure detection, emergency replan and the
 //! kill-to-recovery SLO (DESIGN.md §12): a broker hard-killed under
-//! sustained traffic is declared dead within
-//! `suspect_after × report_interval + probe_timeout` (plus scheduling
+//! sustained traffic is declared dead within [`Timing::detect_bound`]
+//! (`suspect_after × report_interval + probe_timeout`, plus scheduling
 //! slack), the balancer's emergency replan lands its channels on
 //! survivors under the bounded-load cap, routers surface an explicit
 //! failover gap — and once the application re-publishes its
@@ -12,15 +12,18 @@
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
     channel_id_of, BalancerConfig, ChannelChange, ChannelMapping, ChaosProxy, ClientConfig,
     ClientEvent, DispatcherSidecar, GapReason, LiveLoadBalancer, LoadReporter, PlanId, Ring,
-    RoutedClient, RouterConfig, ServerId, SidecarConfig, SidecarEvent, TcpBroker, TcpPubSubClient,
+    RoutedClient, RouterConfig, SidecarConfig, SidecarEvent, TcpBroker, TcpPubSubClient, Timing,
     DEFAULT_VNODES,
 };
+
+mod common;
+
+use common::{seed, sid, wait_until, with_deadline};
 
 const PAYLOAD: usize = 1024;
 // Enough channels that the (1+ε)× bounded-load cap is attainable at
@@ -29,55 +32,41 @@ const PAYLOAD: usize = 1024;
 // channels would force a 2:1 split, max 2/3 > cap).
 const VICTIM_CHANNELS: usize = 6;
 
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xFA11_0FE2)
+/// Loopback through proxies (a 50 ms round-trip bound, so probes time
+/// out after 250 ms), brokers reporting every 100 ms, and a detector that
+/// suspects a broker after `suspect_after` missed reports.
+fn timing(suspect_after: u32) -> Timing {
+    Timing::new(
+        Duration::from_millis(50),
+        Duration::from_millis(100),
+        suspect_after,
+    )
+    .expect("valid timing")
 }
 
-/// Hard watchdog: a wedged client, sidecar, reporter or balancer fails
-/// fast instead of hanging CI.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
-
-fn sid(i: usize) -> ServerId {
-    ServerId::from_index(i)
-}
-
+/// Every component of a test shares one timing: the routers' failover
+/// timer is then the balancer's suspect bound.
 fn client_cfg(seed: u64) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        connect_timeout: Duration::from_millis(250),
-        heartbeat_interval: Duration::from_millis(100),
-        liveness_timeout: Duration::from_secs(2),
+        timing: timing(3),
         tick: Duration::from_millis(5),
         seed: Some(seed),
         ..ClientConfig::default()
     }
 }
 
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
+fn router_cfg(seed: u64) -> RouterConfig {
+    RouterConfig {
+        client: client_cfg(seed),
+        seed: Some(seed),
+        ..RouterConfig::default()
+    }
+}
+
+fn sidecar_cfg(seed: u64) -> SidecarConfig {
+    SidecarConfig {
+        tick: Duration::from_millis(5),
+        client: client_cfg(seed),
     }
 }
 
@@ -89,10 +78,7 @@ fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
 #[test]
 fn hard_kill_is_detected_replanned_and_survived() {
     with_deadline(240, || {
-        let seed = seed();
-        let report_interval = Duration::from_millis(100);
-        let suspect_after: u32 = 3;
-        let probe_timeout = Duration::from_millis(250);
+        let seed = seed(0xFA11_0FE2);
 
         let brokers: Vec<TcpBroker> = (0..3)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
@@ -114,11 +100,7 @@ fn hard_kill_is_detected_replanned_and_survived() {
                 DispatcherSidecar::start(
                     sid(i),
                     proxied.clone(),
-                    SidecarConfig {
-                        ttl: Duration::from_secs(30),
-                        tick: Duration::from_millis(5),
-                        client: client_cfg(seed ^ (0x50 + i as u64)),
-                    },
+                    sidecar_cfg(seed ^ (0x50 + i as u64)),
                 )
             })
             .collect();
@@ -130,7 +112,6 @@ fn hard_kill_is_detected_replanned_and_survived() {
                     b.load_handle(),
                     i,
                     proxied[i],
-                    report_interval,
                     client_cfg(seed ^ (0x60 + i as u64)),
                 )
             })
@@ -145,15 +126,6 @@ fn hard_kill_is_detected_replanned_and_survived() {
             .take(VICTIM_CHANNELS)
             .collect();
 
-        let router_cfg = |s: u64| RouterConfig {
-            client: client_cfg(s),
-            switch_grace: Duration::from_secs(1),
-            failover_after: Duration::from_millis(700),
-            probe_timeout,
-            reprobe_interval: Duration::from_millis(500),
-            seed: Some(s),
-            ..RouterConfig::default()
-        };
         let sub = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 1));
         let publisher = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 2));
         for name in &channels {
@@ -203,14 +175,9 @@ fn hard_kill_is_detected_replanned_and_survived() {
                 // channels are still homed on it when the kill lands —
                 // the emergency replan is the only mover in this test.
                 capacity_floor: 500_000.0,
-                tick: Duration::from_millis(100),
                 window: 2,
                 warmup_ticks: 2,
-                install_refresh: Duration::from_secs(2),
                 client: client_cfg(seed ^ 3),
-                report_interval,
-                suspect_after,
-                probe_timeout,
                 ..BalancerConfig::default()
             },
         );
@@ -234,7 +201,7 @@ fn hard_kill_is_detected_replanned_and_survived() {
         // confirmation probe fails. Allow scheduling slack on top of
         // the analytic bound (balancer tick granularity, probe syscall,
         // CI jitter).
-        let slo = report_interval * suspect_after + probe_timeout + Duration::from_millis(2_500);
+        let slo = timing(3).detect_bound() + Duration::from_millis(2_500);
         while balancer.stats().deaths_declared == 0 {
             assert!(
                 killed_at.elapsed() < slo,
@@ -349,8 +316,7 @@ fn hard_kill_is_detected_replanned_and_survived() {
 #[test]
 fn cold_start_kill_replans_uncapped() {
     with_deadline(180, || {
-        let seed = seed();
-        let report_interval = Duration::from_millis(100);
+        let seed = seed(0xFA11_0FE2);
 
         let brokers: Vec<TcpBroker> = (0..3)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
@@ -368,11 +334,7 @@ fn cold_start_kill_replans_uncapped() {
                 DispatcherSidecar::start(
                     sid(i),
                     proxied.clone(),
-                    SidecarConfig {
-                        ttl: Duration::from_secs(30),
-                        tick: Duration::from_millis(5),
-                        client: client_cfg(seed ^ (0xD0 + i as u64)),
-                    },
+                    sidecar_cfg(seed ^ (0xD0 + i as u64)),
                 )
             })
             .collect();
@@ -397,19 +359,9 @@ fn cold_start_kill_replans_uncapped() {
             brokers[victim].load_handle(),
             victim,
             proxied[victim],
-            report_interval,
             client_cfg(seed ^ 0xE0),
         );
 
-        let router_cfg = |s: u64| RouterConfig {
-            client: client_cfg(s),
-            switch_grace: Duration::from_secs(1),
-            failover_after: Duration::from_millis(700),
-            probe_timeout: Duration::from_millis(250),
-            reprobe_interval: Duration::from_millis(500),
-            seed: Some(s),
-            ..RouterConfig::default()
-        };
         let sub = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 0xE1));
         let publisher = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 0xE2));
         for name in &channels {
@@ -425,14 +377,9 @@ fn cold_start_kill_replans_uncapped() {
             proxied.clone(),
             BalancerConfig {
                 capacity_floor: 500_000.0,
-                tick: Duration::from_millis(100),
                 window: 2,
                 warmup_ticks: 2,
-                install_refresh: Duration::from_secs(2),
                 client: client_cfg(seed ^ 0xE3),
-                report_interval,
-                suspect_after: 3,
-                probe_timeout: Duration::from_millis(250),
                 ..BalancerConfig::default()
             },
         );
@@ -519,8 +466,7 @@ fn cold_start_kill_replans_uncapped() {
 #[test]
 fn post_mortem_hot_channels_are_rebalanced_off_the_effective_home() {
     with_deadline(240, || {
-        let seed = seed();
-        let report_interval = Duration::from_millis(100);
+        let seed = seed(0xFA11_0FE2);
 
         let brokers: Vec<TcpBroker> = (0..3)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
@@ -538,11 +484,7 @@ fn post_mortem_hot_channels_are_rebalanced_off_the_effective_home() {
                 DispatcherSidecar::start(
                     sid(i),
                     proxied.clone(),
-                    SidecarConfig {
-                        ttl: Duration::from_secs(30),
-                        tick: Duration::from_millis(5),
-                        client: client_cfg(seed ^ (0x100 + i as u64)),
-                    },
+                    sidecar_cfg(seed ^ (0x100 + i as u64)),
                 )
             })
             .collect();
@@ -554,7 +496,6 @@ fn post_mortem_hot_channels_are_rebalanced_off_the_effective_home() {
                     b.load_handle(),
                     i,
                     proxied[i],
-                    report_interval,
                     client_cfg(seed ^ (0x110 + i as u64)),
                 )
             })
@@ -576,14 +517,9 @@ fn post_mortem_hot_channels_are_rebalanced_off_the_effective_home() {
                 // Low floor so the post-kill traffic genuinely trips the
                 // reactive LR_high threshold on the effective home.
                 capacity_floor: 50_000.0,
-                tick: Duration::from_millis(100),
                 window: 2,
                 warmup_ticks: 2,
-                install_refresh: Duration::from_secs(2),
                 client: client_cfg(seed ^ 0x120),
-                report_interval,
-                suspect_after: 3,
-                probe_timeout: Duration::from_millis(250),
                 // Pin the *reactive* path: with the pass on, proactive
                 // placement would fix the hot spot before Algorithm 2
                 // ever exercises the quarantine-aware migrate gate.
@@ -605,15 +541,6 @@ fn post_mortem_hot_channels_are_rebalanced_off_the_effective_home() {
         });
         let installs_after_replan = balancer.stats().plans_installed;
 
-        let router_cfg = |s: u64| RouterConfig {
-            client: client_cfg(s),
-            switch_grace: Duration::from_secs(1),
-            failover_after: Duration::from_millis(700),
-            probe_timeout: Duration::from_millis(250),
-            reprobe_interval: Duration::from_millis(500),
-            seed: Some(s),
-            ..RouterConfig::default()
-        };
         let sub = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 0x121));
         let publisher = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 0x122));
         for name in &channels {
@@ -698,7 +625,7 @@ fn post_mortem_hot_channels_are_rebalanced_off_the_effective_home() {
 #[test]
 fn sidecar_peer_death_mid_migration_loses_no_forwards() {
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0xFA11_0FE2);
         let b0 = TcpBroker::bind("127.0.0.1:0").expect("bind b0");
         let b1 = TcpBroker::bind("127.0.0.1:0").expect("bind b1");
         let proxy1 = ChaosProxy::spawn(b1.local_addr(), seed ^ 0x77).expect("proxy");
@@ -710,22 +637,16 @@ fn sidecar_peer_death_mid_migration_loses_no_forwards() {
             sid(0),
             directory,
             SidecarConfig {
-                ttl: Duration::from_secs(60),
                 tick: Duration::from_millis(5),
                 client: ClientConfig {
                     // A tight budget so the peer outage actually
                     // exhausts it: blackholed connects succeed at the
                     // TCP level but deliver nothing, so the liveness
-                    // timeout burns one attempt per ~300 ms.
+                    // timeout (30 round trips of 10 ms) burns one
+                    // attempt per ~300 ms.
                     max_reconnect_attempts: Some(2),
-                    reconnect_base: Duration::from_millis(10),
-                    reconnect_cap: Duration::from_millis(50),
-                    connect_timeout: Duration::from_millis(250),
-                    heartbeat_interval: Duration::from_millis(100),
-                    liveness_timeout: Duration::from_millis(300),
-                    tick: Duration::from_millis(5),
-                    seed: Some(seed ^ 0x78),
-                    ..ClientConfig::default()
+                    timing: common::timing(Duration::from_millis(10)),
+                    ..client_cfg(seed ^ 0x78)
                 },
             },
         );
@@ -823,8 +744,13 @@ fn sidecar_peer_death_mid_migration_loses_no_forwards() {
 #[test]
 fn dead_broker_is_quarantined_until_it_reports_again() {
     with_deadline(120, || {
-        let seed = seed();
-        let report_interval = Duration::from_millis(100);
+        let seed = seed(0xFA11_0FE2);
+        // Two missed reports suspect a broker; the reporters run on the
+        // same clock as the balancer.
+        let client_cfg = |seed| ClientConfig {
+            timing: timing(2),
+            ..client_cfg(seed)
+        };
         let mut brokers: Vec<TcpBroker> = (0..2)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
             .collect();
@@ -837,7 +763,6 @@ fn dead_broker_is_quarantined_until_it_reports_again() {
                     b.load_handle(),
                     i,
                     direct[i],
-                    report_interval,
                     client_cfg(seed ^ (0x90 + i as u64)),
                 )
             })
@@ -846,13 +771,9 @@ fn dead_broker_is_quarantined_until_it_reports_again() {
             direct.clone(),
             BalancerConfig {
                 capacity_floor: 50_000.0,
-                tick: Duration::from_millis(100),
                 window: 2,
                 warmup_ticks: 2,
                 client: client_cfg(seed ^ 0x92),
-                report_interval,
-                suspect_after: 2,
-                probe_timeout: Duration::from_millis(250),
                 ..BalancerConfig::default()
             },
         );
@@ -899,7 +820,6 @@ fn dead_broker_is_quarantined_until_it_reports_again() {
             revived.load_handle(),
             1,
             victim_addr,
-            report_interval,
             client_cfg(seed ^ 0x93),
         );
 

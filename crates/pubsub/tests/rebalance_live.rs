@@ -11,56 +11,29 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
     channel_id_of, BalancerConfig, ChaosProxy, ClientConfig, DispatcherSidecar, LiveLoadBalancer,
-    LoadReporter, MessageId, PlanId, Ring, RoutedClient, RouterConfig, ServerId, SidecarConfig,
-    TcpBroker, Tuning, DEFAULT_VNODES,
+    LoadReporter, MessageId, PlanId, Ring, RoutedClient, RouterConfig, SidecarConfig, TcpBroker,
+    Timing, Tuning, DEFAULT_VNODES,
 };
+
+mod common;
+
+use common::{seed, sid, with_deadline};
 
 const PAYLOAD: usize = 2048;
 const HOT_CHANNELS: usize = 4;
 
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xBA1A_4CE5)
-}
-
-/// Hard watchdog: a wedged client, sidecar, reporter or balancer fails
-/// fast instead of hanging CI.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
-
-fn sid(i: usize) -> ServerId {
-    ServerId::from_index(i)
-}
-
+/// One timing for every component: a 50 ms round-trip bound over the
+/// 1 ms proxies, and brokers reporting every 100 ms to a balancer that
+/// evaluates on the same clock and suspects a broker after three missed
+/// reports.
 fn client_cfg(seed: u64) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        connect_timeout: Duration::from_millis(500),
-        heartbeat_interval: Duration::from_millis(100),
-        liveness_timeout: Duration::from_secs(2),
+        timing: Timing::new(Duration::from_millis(50), Duration::from_millis(100), 3)
+            .expect("valid timing"),
         tick: Duration::from_millis(5),
         seed: Some(seed),
         ..ClientConfig::default()
@@ -85,7 +58,7 @@ fn pump_deliveries(
 #[test]
 fn skewed_traffic_trips_autonomous_rebalancing() {
     with_deadline(240, || {
-        let seed = seed();
+        let seed = seed(0xBA1A_4CE5);
         let tuning = Tuning::default();
 
         let brokers: Vec<TcpBroker> = (0..3)
@@ -110,7 +83,6 @@ fn skewed_traffic_trips_autonomous_rebalancing() {
                     sid(i),
                     direct.clone(),
                     SidecarConfig {
-                        ttl: Duration::from_secs(5),
                         tick: Duration::from_millis(5),
                         client: client_cfg(seed ^ (0x50 + i as u64)),
                     },
@@ -125,7 +97,6 @@ fn skewed_traffic_trips_autonomous_rebalancing() {
                     b.load_handle(),
                     i,
                     direct[i],
-                    Duration::from_millis(100),
                     client_cfg(seed ^ (0x60 + i as u64)),
                 )
             })
@@ -143,7 +114,6 @@ fn skewed_traffic_trips_autonomous_rebalancing() {
 
         let router_cfg = |s: u64| RouterConfig {
             client: client_cfg(s),
-            switch_grace: Duration::from_secs(2),
             seed: Some(s),
             ..RouterConfig::default()
         };
@@ -186,10 +156,8 @@ fn skewed_traffic_trips_autonomous_rebalancing() {
             direct.clone(),
             BalancerConfig {
                 capacity_floor: 50_000.0,
-                tick: Duration::from_millis(200),
                 window: 2,
                 warmup_ticks: 2,
-                install_refresh: Duration::from_secs(2),
                 client: client_cfg(seed ^ 3),
                 // This test exercises the *reactive* Algorithm 2 path;
                 // the proactive placement pass would defuse the hot

@@ -16,68 +16,28 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
-    ChannelMapping, ClientConfig, MessageId, PlanId, RoutedClient, RouterConfig, ServerId,
-    TcpBroker,
+    ChannelMapping, ClientConfig, MessageId, PlanId, RoutedClient, RouterConfig, TcpBroker,
 };
+
+mod common;
+
+use common::{seed, sid, wait_until, with_deadline};
 
 const CH: &str = "ticker";
 const N: usize = 50;
 
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0D15_EA5E)
-}
-
-/// Hard watchdog: a wedged client or broker fails fast.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
-
 fn router_cfg(seed: u64) -> RouterConfig {
     RouterConfig {
         client: ClientConfig {
-            reconnect_base: Duration::from_millis(10),
-            reconnect_cap: Duration::from_millis(200),
-            connect_timeout: Duration::from_millis(500),
             tick: Duration::from_millis(5),
             seed: Some(seed),
             ..ClientConfig::default()
         },
         seed: Some(seed),
         ..RouterConfig::default()
-    }
-}
-
-fn sid(i: usize) -> ServerId {
-    ServerId::from_index(i)
-}
-
-/// Polls `pred` until it holds; panics at the deadline.
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -99,7 +59,7 @@ fn pump_deliveries(
 #[test]
 fn replicated_channel_is_not_double_counted_through_one_pooled_connection() {
     with_deadline(60, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let brokers: Vec<TcpBroker> = (0..2)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
             .collect();

@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
@@ -22,42 +21,15 @@ use dynamoth_pubsub::{
     SidecarConfig, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
 };
 
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0D15_EA5E)
-}
+mod common;
 
-/// Runs `body` on its own thread with a hard deadline so a wedged
-/// client or broker fails fast instead of hanging CI.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
+use common::{seed, timing, wait_until, with_deadline};
 
-/// Fast reconnects and ticks so faults resolve in test time; seeded so
-/// the jitter schedule replays.
+/// A 20 ms round-trip bound (fast reconnects and liveness) and fast ticks
+/// so faults resolve in test time; seeded so the jitter schedule replays.
 fn chaos_cfg(seed: u64) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        connect_timeout: Duration::from_millis(500),
-        heartbeat_interval: Duration::from_millis(100),
-        liveness_timeout: Duration::from_secs(2),
+        timing: timing(Duration::from_millis(20)),
         tick: Duration::from_millis(5),
         seed: Some(seed),
         ..ClientConfig::default()
@@ -94,15 +66,6 @@ fn events_until(
     }
 }
 
-/// Polls `pred` until it holds; panics at the deadline.
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// Collects messages until `n` arrived; panics at the deadline.
 fn collect_messages(client: &TcpPubSubClient, n: usize, what: &str) -> Vec<Vec<u8>> {
     let mut got = Vec::new();
@@ -128,7 +91,7 @@ fn collect_messages(client: &TcpPubSubClient, n: usize, what: &str) -> Vec<Vec<u
 fn outage_longer_than_dedup_window_loses_nothing_with_retention() {
     const DURING: usize = 50;
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
         let proxy = ChaosProxy::spawn(broker.local_addr(), seed).expect("proxy");
 
@@ -229,7 +192,7 @@ fn outage_beyond_retention_surfaces_an_explicit_gap() {
     const DURING: usize = 50;
     const RETAIN: usize = 8;
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker = TcpBroker::bind_with(
             "127.0.0.1:0",
             BrokerConfig {
@@ -324,7 +287,7 @@ fn outage_beyond_retention_surfaces_an_explicit_gap() {
 #[test]
 fn broker_restart_surfaces_a_gap_and_queued_publications_survive() {
     with_deadline(120, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let broker_a = TcpBroker::bind("127.0.0.1:0").expect("bind a");
         let sub_proxy = ChaosProxy::spawn(broker_a.local_addr(), seed ^ 0x20).expect("sub proxy");
         let pub_proxy = ChaosProxy::spawn(broker_a.local_addr(), seed ^ 0x21).expect("pub proxy");
@@ -424,7 +387,7 @@ fn broker_restart_surfaces_a_gap_and_queued_publications_survive() {
 #[test]
 fn mid_outage_switch_migration_still_resumes_on_the_new_home() {
     with_deadline(180, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let brokers: Vec<TcpBroker> = (0..2)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind"))
             .collect();
@@ -432,7 +395,6 @@ fn mid_outage_switch_migration_still_resumes_on_the_new_home() {
 
         // Sidecars talk to their brokers on clean paths.
         let side_cfg = SidecarConfig {
-            ttl: Duration::from_secs(60),
             tick: Duration::from_millis(5),
             client: chaos_cfg(seed ^ 7),
         };
@@ -459,7 +421,6 @@ fn mid_outage_switch_migration_still_resumes_on_the_new_home() {
             directory,
             RouterConfig {
                 client: chaos_cfg(seed ^ 8),
-                switch_grace: Duration::from_millis(200),
                 seed: Some(seed ^ 9),
                 ..RouterConfig::default()
             },

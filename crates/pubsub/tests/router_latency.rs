@@ -15,7 +15,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
@@ -24,36 +24,17 @@ use dynamoth_pubsub::{
     ServerId, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
 };
 
+mod common;
+
+use common::wait_until;
+
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// Hard watchdog: a wedged client or router fails fast. Holds the
-/// file-wide lock for the duration of `body`.
+/// The watchdog of [`common::with_deadline`], holding the file-wide lock
+/// for the duration of `body`.
 fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
-
-/// Polls `pred` until it holds; panics at the deadline.
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    common::with_deadline(secs, body);
 }
 
 fn brokers(n: usize) -> (Vec<TcpBroker>, Vec<SocketAddr>) {
@@ -329,8 +310,6 @@ fn connection_cut_mid_flush_resends_the_batch_in_order_with_the_same_ids() {
     with_deadline(120, || {
         const N: usize = 2_000;
         let fast = |seed| ClientConfig {
-            reconnect_base: Duration::from_millis(10),
-            reconnect_cap: Duration::from_millis(100),
             // The re-sent prefix must still be inside the window.
             dedup_window: 2 * N,
             seed: Some(seed),

@@ -20,84 +20,48 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use dynamoth_pubsub::dispatcher::{FORWARD_BACK_WINDOW, RESEND_CAP};
+use dynamoth_pubsub::dispatcher::RESEND_CAP;
 use dynamoth_pubsub::{
     channel_id_of, ChannelChange, ChannelMapping, ChaosProxy, ClientConfig, Direction,
     DispatcherSidecar, MessageId, PlanId, Ring, RoutedClient, RouterConfig, ServerId,
-    SidecarConfig, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
+    SidecarConfig, TcpBroker, TcpPubSubClient, Timing, DEFAULT_VNODES,
 };
+
+mod common;
+
+use common::{seed, sid, timing, wait_until, with_deadline};
 
 const CH: &str = "hotspot";
 
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0D15_EA5E)
+/// The chaos test's proxies stall one direction for up to 300 ms, so
+/// every component there runs on a 300 ms round-trip bound.
+fn chaos_timing() -> Timing {
+    timing(Duration::from_millis(300))
 }
 
-/// Hard watchdog: a wedged client, sidecar or broker fails fast.
-fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("test exceeded its {secs}s watchdog deadline")
-        }
-    }
-}
-
-fn chaos_client_cfg(seed: u64) -> ClientConfig {
+fn client_cfg(seed: u64, timing: Timing) -> ClientConfig {
     ClientConfig {
-        reconnect_base: Duration::from_millis(10),
-        reconnect_cap: Duration::from_millis(200),
-        connect_timeout: Duration::from_millis(500),
-        heartbeat_interval: Duration::from_millis(100),
-        liveness_timeout: Duration::from_secs(2),
+        timing,
         tick: Duration::from_millis(5),
         seed: Some(seed),
         ..ClientConfig::default()
     }
 }
 
-fn router_cfg(seed: u64) -> RouterConfig {
+fn router_cfg(seed: u64, timing: Timing) -> RouterConfig {
     RouterConfig {
-        client: chaos_client_cfg(seed),
-        switch_grace: Duration::from_secs(2),
+        client: client_cfg(seed, timing),
         seed: Some(seed),
         ..RouterConfig::default()
     }
 }
 
-fn sidecar_cfg(seed: u64) -> SidecarConfig {
+fn sidecar_cfg(seed: u64, timing: Timing) -> SidecarConfig {
     SidecarConfig {
-        ttl: Duration::from_secs(4),
         tick: Duration::from_millis(5),
-        client: chaos_client_cfg(seed),
-    }
-}
-
-fn sid(i: usize) -> ServerId {
-    ServerId::from_index(i)
-}
-
-/// Polls `pred` until it holds; panics at the deadline.
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
+        client: client_cfg(seed, timing),
     }
 }
 
@@ -119,7 +83,7 @@ fn pump_deliveries(
 #[test]
 fn hot_channel_migrates_across_live_cluster_exactly_once() {
     with_deadline(180, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let brokers: Vec<TcpBroker> = (0..3)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
             .collect();
@@ -140,13 +104,13 @@ fn hot_channel_migrates_across_live_cluster_exactly_once() {
                 DispatcherSidecar::start(
                     sid(i),
                     direct.clone(),
-                    sidecar_cfg(seed ^ (0x20 + i as u64)),
+                    sidecar_cfg(seed ^ (0x20 + i as u64), chaos_timing()),
                 )
             })
             .collect();
 
-        let sub = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 1));
-        let publisher = RoutedClient::connect(proxied, router_cfg(seed ^ 2));
+        let sub = RoutedClient::connect(proxied.clone(), router_cfg(seed ^ 1, chaos_timing()));
+        let publisher = RoutedClient::connect(proxied, router_cfg(seed ^ 2, chaos_timing()));
 
         // Where the ring homes the channel before any plan exists; the
         // two migrations then walk it across the other two brokers.
@@ -357,8 +321,9 @@ fn hot_channel_migrates_across_live_cluster_exactly_once() {
     });
 }
 
-/// Two brokers and their sidecars, with no proxy in between, plus a
-/// channel whose ring home is broker 0: the old home of [`Pair::migrate`].
+/// Two brokers and their sidecars, with no proxy in between and the
+/// default timing, plus a channel whose ring home is broker 0: the old
+/// home of [`Pair::migrate`].
 struct Pair {
     brokers: Vec<TcpBroker>,
     direct: Vec<SocketAddr>,
@@ -374,10 +339,7 @@ impl Pair {
         let direct: Vec<SocketAddr> = brokers.iter().map(|b| b.local_addr()).collect();
         let sidecars = (0..2)
             .map(|i| {
-                let cfg = SidecarConfig {
-                    client: chaos_client_cfg(seed ^ (0x20 + i as u64)),
-                    ..SidecarConfig::default()
-                };
+                let cfg = sidecar_cfg(seed ^ (0x20 + i as u64), Timing::default());
                 DispatcherSidecar::start(sid(i), direct.clone(), cfg)
             })
             .collect();
@@ -394,17 +356,8 @@ impl Pair {
         }
     }
 
-    /// A router on the default switch grace, which the forward-back
-    /// window is sized against.
     fn router(&self, seed: u64) -> RoutedClient {
-        RoutedClient::connect(
-            self.direct.clone(),
-            RouterConfig {
-                client: chaos_client_cfg(seed),
-                seed: Some(seed),
-                ..RouterConfig::default()
-            },
-        )
+        RoutedClient::connect(self.direct.clone(), router_cfg(seed, Timing::default()))
     }
 
     /// Moves the channel from broker 0 to broker 1 under plan 1 and waits
@@ -441,7 +394,7 @@ impl Pair {
 #[test]
 fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home() {
     with_deadline(60, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let pair = Pair::start(seed);
         let ch = pair.channel.clone();
         let installed = pair.migrate();
@@ -449,15 +402,17 @@ fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home(
         // Traffic at the new home only. Inside the forward-back window its
         // copies reach the old home, whose sidecar takes the first one as
         // its wrong-home observation and starts the beacon.
-        let publisher = TcpPubSubClient::connect_with(pair.direct[1], chaos_client_cfg(seed ^ 3))
-            .expect("new-home publisher");
+        let publisher =
+            TcpPubSubClient::connect_with(pair.direct[1], client_cfg(seed ^ 3, Timing::default()))
+                .expect("new-home publisher");
         for i in 0..10 {
             publisher.publish(&ch, format!("early-{i}").as_bytes());
         }
         wait_until("the first <switch>", Duration::from_secs(10), || {
             pair.sidecars[0].stats().switches_emitted >= 1
         });
-        let closed = installed + FORWARD_BACK_WINDOW + Duration::from_millis(200);
+        let closed =
+            installed + Timing::default().forward_back_window() + Duration::from_millis(200);
         std::thread::sleep(closed.saturating_duration_since(Instant::now()));
         let forwarded_back = pair.sidecars[1].stats().forwarded;
         assert!(forwarded_back >= 1, "the new home never forwarded back");
@@ -522,7 +477,7 @@ fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home(
 #[test]
 fn stale_publisher_that_never_reroutes_costs_a_bounded_number_of_control_frames() {
     with_deadline(60, || {
-        let seed = seed();
+        let seed = seed(0x0D15_EA5E);
         let pair = Pair::start(seed);
         let ch = pair.channel.clone();
         let sub = pair.router(seed ^ 5);
@@ -536,8 +491,9 @@ fn stale_publisher_that_never_reroutes_costs_a_bounded_number_of_control_frames(
 
         // A plain client never subscribes to its control channel, so it
         // ignores `MOVED` and keeps publishing to the old home.
-        let publisher = TcpPubSubClient::connect_with(pair.direct[0], chaos_client_cfg(seed ^ 6))
-            .expect("stale publisher");
+        let publisher =
+            TcpPubSubClient::connect_with(pair.direct[0], client_cfg(seed ^ 6, Timing::default()))
+                .expect("stale publisher");
         let mut counts: HashMap<String, usize> = HashMap::new();
         let mut ids: HashSet<MessageId> = HashSet::new();
         let mut published = Vec::new();

@@ -42,31 +42,48 @@
 //!
 //! # The worker's pass
 //!
-//! The worker is the last thread a delivery crosses. One pass is: swap
-//! the caller's command queue out under one lock, encode every command
-//! and every queued publication into one buffer, send it with one
-//! `write_all`, then block in one `read` (at most
-//! [`ClientConfig::tick`]) into a reusable buffer and decode every
-//! complete frame in it by cursor. Each decoded application message and
-//! each [`ClientEvent`] goes to the client's sink on the worker
-//! thread itself: [`TcpPubSubClient::connect_addr`] installs the sink
-//! that feeds [`TcpPubSubClient::try_message`] /
-//! [`TcpPubSubClient::try_event`]; the routed tier installs one that
-//! runs its cross-broker dedup and pushes straight onto the queue
+//! The worker is the last thread a delivery crosses. It sleeps in one
+//! `epoll_wait` over its socket and a waker callers kick. One pass is:
+//! swap the caller's command queue out under one lock, then, when the
+//! queue is due, encode every command and every queued publication into
+//! one buffer and send it with one `write_all`; on readiness, `read` once
+//! into a reusable buffer and decode every complete frame in it by
+//! cursor. Each decoded application message and each [`ClientEvent`]
+//! goes to the client's sink on the worker thread itself:
+//! [`TcpPubSubClient::connect_addr`] installs the sink that feeds
+//! [`TcpPubSubClient::try_message`] / [`TcpPubSubClient::try_event`];
+//! the routed tier installs one that runs its cross-broker dedup and
+//! pushes straight onto the queue
 //! [`RoutedClient::try_message`](crate::RoutedClient::try_message)
 //! reads, so no second thread sits between the socket and the caller.
 //! A write that fails leaves the whole batch unacknowledged; it returns
 //! to the head of the queue in order, ids unchanged, and is re-sent
 //! after the reconnect.
+//!
+//! Publications leave by **size or linger**. Everything queued is sent
+//! when a command other than a publication is queued (it kicks the
+//! waker), when [`FLUSH_BATCH`] publications are queued (the publication
+//! completing the batch kicks it), and when the linger ends: at the
+//! first multiple of [`ClientConfig::tick`], on a clock the process's
+//! clients share, after the first publication queued into an idle
+//! worker or after the last flush that sent any. A read sends nothing
+//! by itself: a flush per ack or delivery would split batches the
+//! broker and the subscribers then pay a wake-up each for. A worker
+//! whose linger ended with nothing queued sleeps until its next `PING`
+//! or liveness deadline; the first publication pushed while it sleeps
+//! kicks it once, to arm the linger. The worker marks itself asleep
+//! before it re-checks the queue under the queue lock, and a caller
+//! reads the mark after its push, so no push is left asleep.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 
 use crate::resp::{self, Value};
@@ -95,8 +112,9 @@ pub struct ClientConfig {
     /// Send attempts per publication before it is dropped with
     /// [`DropCause::RetriesExhausted`].
     pub publish_retries: u32,
-    /// Worker wake-up granularity: command latency, heartbeat check
-    /// resolution and shutdown latency are all bounded by one tick.
+    /// The linger bound: the longest a publication waits in the queue
+    /// for [`FLUSH_BATCH`] others (see the module docs). Commands other
+    /// than publications and shutdown never wait for it.
     pub tick: Duration,
     /// Seed for the jitter PRNG and the origin id; `None` uses OS
     /// entropy. Fixing it makes reconnect timing reproducible in tests.
@@ -271,10 +289,21 @@ pub const ID_HEADER_LEN: usize = 6 + 16 + 16 + 1;
 pub fn frame_payload(id: MessageId, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ID_HEADER_LEN + body.len());
     out.extend_from_slice(ID_MAGIC);
-    out.extend_from_slice(format!("{:016x}{:016x}", id.origin, id.seq).as_bytes());
+    push_hex16(&mut out, id.origin);
+    push_hex16(&mut out, id.seq);
     out.push(b';');
     out.extend_from_slice(body);
     out
+}
+
+/// Appends `v` as 16 lower-case hex digits.
+fn push_hex16(out: &mut Vec<u8>, v: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut hex = [0u8; 16];
+    for (i, digit) in hex.iter_mut().enumerate() {
+        *digit = DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.extend_from_slice(&hex);
 }
 
 /// Splits a delivered payload into its wire id (if the publisher framed
@@ -367,6 +396,30 @@ impl Sink for QueueSink {
 /// write per pass for any ordinary backlog, bounded memory for a deep
 /// one.
 const WRITE_BATCH_BYTES: usize = 256 * 1024;
+
+/// Queued publications at which `publish` kicks the worker to send them
+/// without waiting out the linger ([`ClientConfig::tick`]). DESIGN.md §8
+/// has the measurements that chose it.
+pub const FLUSH_BATCH: usize = 64;
+
+/// The first multiple of `period` after `now` on a clock every client of
+/// the process shares. Lingers and heartbeats end on it, so the process's
+/// connections flush and ping together and a broker reads their writes
+/// in one wake-up instead of one each.
+fn next_tick(now: Instant, period: Duration) -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let epoch = *EPOCH.get_or_init(|| now);
+    let Some(since) = now.checked_duration_since(epoch) else {
+        return epoch;
+    };
+    let period = period.as_nanos().max(1);
+    let ticks = since.as_nanos() / period + 1;
+    epoch + Duration::from_nanos(u64::try_from(ticks * period).unwrap_or(u64::MAX))
+}
+
+/// The worker's poll tokens: its connection and the callers' waker.
+const SOCKET: Token = Token(0);
+const WAKE: Token = Token(1);
 
 /// Starting size of a connection's read buffer; it doubles whenever a
 /// frame does not fit.
@@ -474,6 +527,15 @@ impl ResumeState {
 struct ClientShared {
     running: AtomicBool,
     cmds: Mutex<VecDeque<Cmd>>,
+    /// Readies the worker's poll.
+    waker: Waker,
+    /// Set while the worker sleeps with nothing queued: the next
+    /// publication kicks it (see [`ClientShared::publication`]).
+    asleep: AtomicBool,
+    /// Publications pushed and not yet through a flush, whether still in
+    /// `cmds` or in the worker's own queue; the worker subtracts what it
+    /// absorbed at each flush. Sizes the batches `publication` kicks for.
+    unsent: AtomicUsize,
     /// `true` once the worker thread has exited (gave up or shut down);
     /// after that, commands are never processed again.
     exited: AtomicBool,
@@ -481,6 +543,35 @@ struct ClientShared {
     /// [`TcpPubSubClient::take_unsent`] can still rescue them from a
     /// client whose worker is gone.
     stranded: Mutex<Vec<(String, Vec<u8>)>>,
+}
+
+impl ClientShared {
+    /// Queues a command that is not a publication and kicks the worker.
+    fn command(&self, cmd: Cmd) {
+        self.cmds.lock().push_back(cmd);
+        self.kick();
+    }
+
+    /// Queues a publication; kicks the worker when it completes a batch
+    /// or when the worker sleeps with nothing queued (which then arms
+    /// its linger).
+    fn publication(&self, cmd: Cmd) {
+        // Counted before it is visible, so the worker never subtracts it
+        // first.
+        let full = (self.unsent.fetch_add(1, Ordering::SeqCst) + 1).is_multiple_of(FLUSH_BATCH);
+        self.cmds.lock().push_back(cmd);
+        // Pushed first, read second: a worker that marked itself asleep
+        // has either seen this push in its re-check or left the mark set.
+        let asleep =
+            self.asleep.load(Ordering::SeqCst) && self.asleep.swap(false, Ordering::SeqCst);
+        if full || asleep {
+            self.kick();
+        }
+    }
+
+    fn kick(&self) {
+        let _ = self.waker.wake();
+    }
 }
 
 /// A resilient RESP pub/sub client (see the module docs for the failure
@@ -563,9 +654,14 @@ impl TcpPubSubClient {
         config: ClientConfig,
         make_sink: impl FnOnce(u64) -> S,
     ) -> TcpPubSubClient {
+        let poll = Poll::new().expect("create the dm-client poll");
+        let waker = Waker::new(poll.registry(), WAKE).expect("create the dm-client waker");
         let shared = Arc::new(ClientShared {
             running: AtomicBool::new(true),
             cmds: Mutex::new(VecDeque::new()),
+            waker,
+            asleep: AtomicBool::new(false),
+            unsent: AtomicUsize::new(0),
             exited: AtomicBool::new(false),
             stranded: Mutex::new(Vec::new()),
         });
@@ -588,6 +684,9 @@ impl TcpPubSubClient {
             dedup: Dedup::new(),
             cmds: VecDeque::new(),
             out: Vec::new(),
+            absorbed: 0,
+            poll,
+            events: Events::with_capacity(2),
         };
         let handle = std::thread::Builder::new()
             .name("dm-client".into())
@@ -615,8 +714,9 @@ impl TcpPubSubClient {
     /// [`ClientConfig::resume`] on, delivery starts live and every
     /// later reconnect resumes from the highest sequence seen.
     pub fn subscribe(&self, channel: &str) {
-        self.shared.cmds.lock().push_back(Cmd::Subscribe {
-            channel: channel.to_owned(),
+        let channel = channel.to_owned();
+        self.shared.command(Cmd::Subscribe {
+            channel,
             from: None,
         });
     }
@@ -628,18 +728,14 @@ impl TcpPubSubClient {
     /// replay ends with a [`ClientEvent::Resumed`], or surfaces a
     /// [`ClientEvent::Gap`] when `from` is no longer retained.
     pub fn subscribe_from(&self, channel: &str, from: u64) {
-        self.shared.cmds.lock().push_back(Cmd::Subscribe {
-            channel: channel.to_owned(),
-            from: Some(from),
-        });
+        let channel = channel.to_owned();
+        let from = Some(from);
+        self.shared.command(Cmd::Subscribe { channel, from });
     }
 
     /// Removes `channel` from the desired subscription set.
     pub fn unsubscribe(&self, channel: &str) {
-        self.shared
-            .cmds
-            .lock()
-            .push_back(Cmd::Unsubscribe(channel.to_owned()));
+        self.shared.command(Cmd::Unsubscribe(channel.to_owned()));
     }
 
     /// Publishes `body` on `channel` with a fresh globally unique wire
@@ -647,10 +743,9 @@ impl TcpPubSubClient {
     /// acknowledged, and eventually dropped (with a
     /// [`ClientEvent::Dropped`]) if the broker never accepts it.
     pub fn publish(&self, channel: &str, body: &[u8]) {
-        self.shared.cmds.lock().push_back(Cmd::Publish {
-            channel: channel.to_owned(),
-            body: body.to_vec(),
-        });
+        let channel = channel.to_owned();
+        let body = body.to_vec();
+        self.shared.publication(Cmd::Publish { channel, body });
     }
 
     /// Publishes an already-framed payload verbatim — no new wire id is
@@ -659,10 +754,10 @@ impl TcpPubSubClient {
     /// re-publishing a wrong-server publication keeps the original id,
     /// so receive-side dedup windows still suppress duplicates.
     pub fn publish_raw(&self, channel: &str, payload: &[u8]) {
-        self.shared.cmds.lock().push_back(Cmd::PublishRaw {
-            channel: channel.to_owned(),
-            payload: payload.to_vec(),
-        });
+        let channel = channel.to_owned();
+        let payload = payload.to_vec();
+        self.shared
+            .publication(Cmd::PublishRaw { channel, payload });
     }
 
     /// Drains every publication still queued or unacknowledged and
@@ -675,15 +770,24 @@ impl TcpPubSubClient {
     /// router moves the stranded tail to a survivor instead of retrying
     /// into the corpse. Works on a worker that already gave up (it
     /// deposits its queue on exit); a live worker that does not respond
-    /// within `timeout` yields an empty result.
+    /// within `timeout` yields an empty result and keeps its queue.
     pub fn take_unsent(&self, timeout: Duration) -> Vec<(String, Vec<u8>)> {
         let (tx, rx) = mpsc::channel();
-        self.shared.cmds.lock().push_back(Cmd::TakeUnsent(tx));
+        self.shared.command(Cmd::TakeUnsent(tx));
         // A worker that already gave up deposited its queue instead;
         // only wait on the command round-trip while the worker lives.
         let mut out = std::mem::take(&mut *self.shared.stranded.lock());
         if !self.shared.exited.load(Ordering::SeqCst) {
-            out.extend(rx.recv_timeout(timeout).unwrap_or_default());
+            let mut reply = rx.recv_timeout(timeout).ok();
+            if reply.is_none() {
+                // The worker replies under the queue lock, so a late
+                // reply is either here now or fails to send and stays in
+                // the worker's queue.
+                let _queue = self.shared.cmds.lock();
+                reply = rx.try_recv().ok();
+                drop(rx);
+            }
+            out.extend(reply.unwrap_or_default());
         }
         out.extend(std::mem::take(&mut *self.shared.stranded.lock()));
         out
@@ -716,6 +820,7 @@ impl TcpPubSubClient {
 
     fn stop(&mut self) {
         self.shared.running.store(false, Ordering::SeqCst);
+        self.shared.kick();
         if let Some(handle) = self.worker.take() {
             let _ = handle.join();
         }
@@ -763,6 +868,29 @@ struct Worker {
     /// The pass's outgoing bytes: every command and publication encoded
     /// back to back, sent with one write.
     out: Vec<u8>,
+    /// Publications taken from `shared.cmds` since the last flush: the
+    /// part of `shared.unsent` the worker holds.
+    absorbed: usize,
+    /// Sleeps on the session's socket ([`SOCKET`]) and the callers'
+    /// waker ([`WAKE`]).
+    poll: Poll,
+    events: Events,
+}
+
+/// One connected session's clocks and receive state.
+struct Session {
+    stream: TcpStream,
+    rbuf: ReadBuf,
+    last_rx: Instant,
+    next_ping: Instant,
+    /// When queued publications leave at the latest: the end of the
+    /// current linger. Armed by the first publication into an empty
+    /// queue and by every flush that sent one; `None` (sleep until the
+    /// next `PING` or liveness deadline) once a linger ended with nothing
+    /// queued.
+    flush_at: Option<Instant>,
+    /// Any bytes were received.
+    got_data: bool,
 }
 
 impl Worker {
@@ -822,7 +950,7 @@ impl Worker {
                     break;
                 }
             }
-            self.backoff_sleep(attempts);
+            self.backoff(attempts);
         }
         self.shared.exited.store(true, Ordering::SeqCst);
     }
@@ -830,9 +958,37 @@ impl Worker {
     /// Runs one connected session; returns whether any bytes were
     /// received (which is what resets the backoff counter — a half-open
     /// accept that never speaks does not count as progress).
-    fn session(&mut self, mut stream: TcpStream) -> bool {
+    fn session(&mut self, stream: TcpStream) -> bool {
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.cfg.tick));
+        // Reads follow readiness; the timeout only backstops one that
+        // blocks regardless.
+        let _ = stream.set_read_timeout(Some(self.cfg.timing.liveness_timeout()));
+        let now = Instant::now();
+        let mut s = Session {
+            stream,
+            rbuf: ReadBuf::new(),
+            last_rx: now,
+            next_ping: next_tick(now, self.cfg.timing.heartbeat_interval()),
+            // Re-sends at once whatever the previous connection left
+            // queued.
+            flush_at: Some(now),
+            got_data: false,
+        };
+        let registry = self.poll.registry().clone();
+        let reason = match registry.register(&s.stream, SOCKET, Interest::READABLE) {
+            Ok(()) => self.serve(&mut s),
+            Err(_) => DisconnectReason::Io,
+        };
+        let _ = registry.deregister(&s.stream);
+        if self.running() {
+            self.emit(ClientEvent::Disconnected { reason });
+        }
+        s.got_data
+    }
+
+    /// Resubscribes, then runs passes until the connection fails (the
+    /// reason) or the client stops (`Io`, never reported).
+    fn serve(&mut self, s: &mut Session) -> DisconnectReason {
         // Transparent re-subscribe before anything else, resuming each
         // channel from its high-water sequence. (Nothing encoded for
         // the previous connection leaks into this one.)
@@ -846,70 +1002,104 @@ impl Worker {
             let mut parts: Vec<&[u8]> = vec![b"SUBSCRIBE"];
             parts.extend(args.iter().map(|a| a.as_bytes()));
             resp::encode_command(&parts, &mut self.out);
-            if !self.flush(&mut stream) {
-                self.emit(ClientEvent::Disconnected {
-                    reason: DisconnectReason::Io,
-                });
-                return false;
+            if !self.flush(&mut s.stream) {
+                return DisconnectReason::Io;
             }
             self.emit(ClientEvent::Resubscribed {
                 channels: self.desired.len(),
             });
         }
-        // A silent broker misses several heartbeats before the liveness
-        // deadline fires.
-        let ping_every = self.cfg.timing.heartbeat_interval();
-        let liveness = self.cfg.timing.liveness_timeout();
-        let mut last_rx = Instant::now();
-        let mut last_ping = Instant::now();
-        let mut got_data = false;
-        let mut rbuf = ReadBuf::new();
-        loop {
-            if !self.running() {
-                return got_data;
-            }
-            let reason = 'fail: {
-                self.apply_commands(true);
-                if !self.send_pending(&mut stream) {
-                    break 'fail Some(DisconnectReason::Io);
-                }
-                match rbuf.fill(&mut stream) {
-                    Ok(0) => break 'fail Some(DisconnectReason::ServerClosed),
-                    Ok(_) => {
-                        last_rx = Instant::now();
-                        got_data = true;
-                        loop {
-                            match resp::decode(rbuf.unread()) {
-                                Ok(Some((value, used))) => {
-                                    rbuf.consume(used);
-                                    self.handle_frame(value);
-                                }
-                                Ok(None) => break,
-                                Err(_) => break 'fail Some(DisconnectReason::Protocol),
-                            }
-                        }
-                        self.sink.read_end();
-                    }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => break 'fail Some(DisconnectReason::Io),
-                }
-                if last_rx.elapsed() > liveness {
-                    break 'fail Some(DisconnectReason::LivenessTimeout);
-                }
-                if last_ping.elapsed() >= ping_every {
-                    // Leaves with the next pass's write, which is next.
-                    resp::encode_command(&[b"PING"], &mut self.out);
-                    last_ping = Instant::now();
-                }
-                None
-            };
-            if let Some(reason) = reason {
-                self.emit(ClientEvent::Disconnected { reason });
-                return got_data;
+        while self.running() {
+            if let Err(reason) = self.pass(s) {
+                return reason;
             }
         }
+        DisconnectReason::Io
+    }
+
+    /// One pass: absorb the caller queue, send it if it is due, sleep
+    /// until the next deadline or readiness, and read once if readable.
+    fn pass(&mut self, s: &mut Session) -> Result<(), DisconnectReason> {
+        // A silent broker misses several heartbeats before the liveness
+        // deadline fires.
+        let liveness = self.cfg.timing.liveness_timeout();
+        self.apply_commands(true);
+        let now = Instant::now();
+        if now.duration_since(s.last_rx) > liveness {
+            return Err(DisconnectReason::LivenessTimeout);
+        }
+        if now >= s.next_ping {
+            resp::encode_command(&[b"PING"], &mut self.out);
+            s.next_ping = next_tick(now, self.cfg.timing.heartbeat_interval());
+        }
+        let due = !self.out.is_empty()
+            || self.pending.len() >= FLUSH_BATCH
+            || s.flush_at.is_some_and(|at| now >= at);
+        if due {
+            // A flush that sent publications re-arms the linger for the
+            // next ones, so a steady stream is never kicked awake; one
+            // that sent nothing leaves it as it was.
+            let sent = !self.pending.is_empty();
+            if !self.send_pending(&mut s.stream) {
+                return Err(DisconnectReason::Io);
+            }
+            let absorbed = std::mem::take(&mut self.absorbed);
+            self.shared.unsent.fetch_sub(absorbed, Ordering::SeqCst);
+            s.flush_at = if sent {
+                Some(next_tick(now, self.cfg.tick))
+            } else {
+                s.flush_at.filter(|&at| at > now)
+            };
+        } else if !self.pending.is_empty() {
+            s.flush_at.get_or_insert(next_tick(now, self.cfg.tick));
+        }
+        let mut wake_at = s.next_ping.min(s.last_rx + liveness);
+        match s.flush_at {
+            Some(at) => wake_at = wake_at.min(at),
+            // A caller pushed since `apply_commands`: take it now.
+            None if !self.fall_asleep() => return Ok(()),
+            None => {}
+        }
+        let polled = self.poll.poll(
+            &mut self.events,
+            Some(wake_at.saturating_duration_since(now)),
+        );
+        self.shared.asleep.store(false, Ordering::SeqCst);
+        polled.map_err(|_| DisconnectReason::Io)?;
+        if !self.events.iter().any(|e| e.token() == SOCKET) {
+            return Ok(());
+        }
+        match s.rbuf.fill(&mut s.stream) {
+            Ok(0) => return Err(DisconnectReason::ServerClosed),
+            Ok(_) => {
+                s.last_rx = Instant::now();
+                s.got_data = true;
+                while let Some((value, used)) =
+                    resp::decode(s.rbuf.unread()).map_err(|_| DisconnectReason::Protocol)?
+                {
+                    s.rbuf.consume(used);
+                    self.handle_frame(value);
+                }
+                self.sink.read_end();
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(_) => return Err(DisconnectReason::Io),
+        }
+        Ok(())
+    }
+
+    /// Marks the worker asleep unless a caller pushed since the last
+    /// `apply_commands`; returns whether it may sleep. The re-check takes
+    /// the queue lock every push holds.
+    fn fall_asleep(&self) -> bool {
+        self.shared.asleep.store(true, Ordering::SeqCst);
+        if self.shared.cmds.lock().is_empty() {
+            return true;
+        }
+        self.shared.asleep.store(false, Ordering::SeqCst);
+        false
     }
 
     /// Interprets one server frame.
@@ -1031,6 +1221,7 @@ impl Worker {
                     }
                 }
                 Cmd::Publish { channel, body } => {
+                    self.absorbed += 1;
                     let id = MessageId {
                         origin: self.origin,
                         seq: self.next_seq,
@@ -1040,17 +1231,27 @@ impl Worker {
                     self.enqueue_publish(channel, framed);
                 }
                 Cmd::PublishRaw { channel, payload } => {
+                    self.absorbed += 1;
                     self.enqueue_publish(channel, payload);
                 }
                 Cmd::TakeUnsent(reply) => {
                     // Oldest first: in-flight (unacked) precede queued.
-                    let drained: Vec<(String, Vec<u8>)> = self
+                    let unsent: Vec<(String, Vec<u8>)> = self
                         .unacked
-                        .drain(..)
-                        .chain(self.pending.drain(..))
-                        .map(|p| (p.channel, p.framed))
+                        .iter()
+                        .chain(&self.pending)
+                        .map(|p| (p.channel.clone(), p.framed.clone()))
                         .collect();
-                    let _ = reply.send(drained);
+                    // Under the lock `take_unsent` gives up under: a
+                    // caller that stopped waiting leaves the queue here.
+                    let taken = {
+                        let _queue = self.shared.cmds.lock();
+                        reply.send(unsent).is_ok()
+                    };
+                    if taken {
+                        self.unacked.clear();
+                        self.pending.clear();
+                    }
                 }
             }
         }
@@ -1109,9 +1310,10 @@ impl Worker {
         sent
     }
 
-    /// Sleeps for a full-jitter backoff delay, staying responsive to
-    /// shutdown and still absorbing caller commands.
-    fn backoff_sleep(&mut self, attempts: u32) {
+    /// Waits out a full-jitter backoff delay on the poll, absorbing
+    /// caller commands; a kick (shutdown, `take_unsent`, a subscription)
+    /// is served at once.
+    fn backoff(&mut self, attempts: u32) {
         let base = self.cfg.timing.reconnect_base().as_millis().max(1) as u64;
         let cap = self.cfg.timing.reconnect_cap().as_millis().max(1) as u64;
         let exp = attempts.saturating_sub(1).min(16);
@@ -1124,7 +1326,13 @@ impl Worker {
             if now >= deadline {
                 return;
             }
-            std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
+            if self
+                .poll
+                .poll(&mut self.events, Some(deadline - now))
+                .is_err()
+            {
+                return;
+            }
         }
     }
 }
@@ -1135,14 +1343,37 @@ mod tests {
 
     #[test]
     fn wire_ids_roundtrip() {
-        let id = MessageId {
-            origin: 0xdead_beef_cafe_f00d,
-            seq: 42,
-        };
-        let framed = frame_payload(id, b"position update");
-        let (parsed, body) = parse_payload(&framed);
-        assert_eq!(parsed, Some(id));
-        assert_eq!(body, b"position update");
+        let ids = [
+            (0xdead_beef_cafe_f00d, 42),
+            (0, 0),
+            (u64::MAX, u64::MAX),
+            (0x0123_4567_89ab_cdef, u64::MAX - 1),
+            (u64::MAX, 1),
+        ];
+        for (origin, seq) in ids {
+            let id = MessageId { origin, seq };
+            let framed = frame_payload(id, b"position update");
+            assert_eq!(
+                &framed[..ID_HEADER_LEN],
+                format!("DMID1;{origin:016x}{seq:016x};").as_bytes()
+            );
+            let (parsed, body) = parse_payload(&framed);
+            assert_eq!(parsed, Some(id));
+            assert_eq!(body, b"position update");
+        }
+    }
+
+    #[test]
+    fn ticks_are_shared_and_within_one_period() {
+        let period = Duration::from_millis(20);
+        let now = Instant::now();
+        let tick = next_tick(now, period);
+        assert!(tick > now && tick <= now + period);
+        // Every instant before it shares it; the tick itself moves on.
+        for before in [now + (tick - now) / 2, tick - Duration::from_nanos(1)] {
+            assert_eq!(next_tick(before, period), tick);
+        }
+        assert_eq!(next_tick(tick, period), tick + period);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Helpers the live-tier suites share: the fault-schedule seed, a
-//! watchdog, a poll loop, and the deployment [`Timing`] for the round
-//! trips a suite's injected faults allow.
+//! watchdog, a poll loop, the deployment [`Timing`] for the round trips
+//! a suite's injected faults allow, and the process's threads with their
+//! wake-up counts.
 
 // Each suite uses a subset.
 #![allow(dead_code)]
@@ -59,4 +60,30 @@ pub fn sid(i: usize) -> ServerId {
 pub fn timing(rtt: Duration) -> Timing {
     let d = Timing::default();
     Timing::new(rtt, d.report_interval(), d.suspect_after()).expect("valid timing")
+}
+
+/// `(tid, name)` of every live thread of this process.
+#[cfg(target_os = "linux")]
+pub fn threads() -> Vec<(String, String)> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .flatten()
+        .filter_map(|task| {
+            let comm = std::fs::read_to_string(task.path().join("comm")).ok()?;
+            let tid = task.file_name().into_string().ok()?;
+            Some((tid, comm.trim_end().to_owned()))
+        })
+        .collect()
+}
+
+/// How often thread `tid` has blocked so far: each is one wake-up.
+#[cfg(target_os = "linux")]
+pub fn voluntary_switches(tid: &str) -> u64 {
+    let status =
+        std::fs::read_to_string(format!("/proc/self/task/{tid}/status")).expect("thread status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("voluntary_ctxt_switches")
 }

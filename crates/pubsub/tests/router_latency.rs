@@ -27,6 +27,8 @@ use dynamoth_pubsub::{
 mod common;
 
 use common::wait_until;
+#[cfg(target_os = "linux")]
+use common::{threads, voluntary_switches};
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -79,31 +81,6 @@ fn router_on_every_broker(
             .all(|(b, c)| b.channel_subscribers(c) == 1)
     });
     (router, channels)
-}
-
-/// `(tid, name)` of every live thread of this process.
-#[cfg(target_os = "linux")]
-fn threads() -> Vec<(String, String)> {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .flatten()
-        .filter_map(|task| {
-            let comm = std::fs::read_to_string(task.path().join("comm")).ok()?;
-            let tid = task.file_name().into_string().ok()?;
-            Some((tid, comm.trim_end().to_owned()))
-        })
-        .collect()
-}
-
-#[cfg(target_os = "linux")]
-fn voluntary_switches(tid: &str) -> u64 {
-    let status =
-        std::fs::read_to_string(format!("/proc/self/task/{tid}/status")).expect("thread status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("voluntary_ctxt_switches")
 }
 
 /// A `PUBLISH` written to the broker's socket is in `try_message` as

@@ -129,7 +129,6 @@ pub fn bench_failover(cfg: &FailoverBenchConfig) -> FailoverBenchRow {
                 ServerId::from_index(i),
                 proxied.clone(),
                 SidecarConfig {
-                    tick: Duration::from_millis(5),
                     client: bench_client(seed ^ (0x50 + i as u64), timing),
                 },
             )

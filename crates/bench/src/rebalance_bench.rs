@@ -138,7 +138,6 @@ pub fn bench_rebalance(cfg: &RebalanceBenchConfig) -> RebalanceBenchRow {
                 ServerId::from_index(i),
                 directory.clone(),
                 SidecarConfig {
-                    tick: Duration::from_millis(2),
                     client: quiet_client(cfg.seed ^ (0x30 + i as u64)),
                 },
             )

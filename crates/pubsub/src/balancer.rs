@@ -19,16 +19,17 @@
 //!   channel migrates with no client involvement and exactly-once
 //!   delivery intact.
 //!
-//! The balancer is deliberately stateless towards the brokers: if it
-//! dies, traffic keeps flowing under the last installed plan — the data
-//! plane never depends on the control plane being alive.
+//! Both threads (`dm-reporter`, `dm-balancer`) wait one report interval
+//! at a time on a channel, so `shutdown()` stops them at once. The
+//! balancer is deliberately stateless towards the brokers: if it dies,
+//! traffic keeps flowing under the last installed plan — the data plane
+//! never depends on the control plane being alive.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -180,7 +181,8 @@ pub struct ReplanSummary {
 /// [`Timing::report_interval`](crate::Timing::report_interval) (see module
 /// docs).
 pub struct LoadReporter {
-    running: Arc<AtomicBool>,
+    /// Dropping it stops the thread.
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -194,33 +196,29 @@ impl LoadReporter {
         addr: SocketAddr,
         client: ClientConfig,
     ) -> LoadReporter {
-        let running = Arc::new(AtomicBool::new(true));
-        let flag = Arc::clone(&running);
+        let (stop, stopped) = mpsc::channel();
         let interval = client.timing.report_interval();
-        let thread = std::thread::spawn(move || {
-            let conn = TcpPubSubClient::connect_addr(addr, client);
-            let channel = lla_channel(broker);
-            let mut next = Instant::now() + interval;
-            while flag.load(Ordering::SeqCst) {
-                // A reporter must observe its broker's shutdown and stop
-                // cleanly: publishing into a closed listener would spin
-                // the connection's reconnect loop forever. Sleep in
-                // short slices so both exits stay responsive.
-                if handle.is_shutdown() {
-                    return;
+        let thread = std::thread::Builder::new()
+            .name("dm-reporter".into())
+            .spawn(move || {
+                let conn = TcpPubSubClient::connect_addr(addr, client);
+                let channel = lla_channel(broker);
+                while stopped.recv_timeout(interval) == Err(mpsc::RecvTimeoutError::Timeout) {
+                    // Nobody reads the connection's events: drop them
+                    // rather than queue a flapping broker's for ever.
+                    while conn.try_event().is_some() {}
+                    // A reporter must observe its broker's shutdown and
+                    // stop cleanly: publishing into a closed listener
+                    // would spin the connection's reconnect loop forever.
+                    if handle.is_shutdown() {
+                        return;
+                    }
+                    conn.publish(&channel, &encode_report(&handle.report()));
                 }
-                let now = Instant::now();
-                if now < next {
-                    std::thread::sleep((next - now).min(Duration::from_millis(10)));
-                    continue;
-                }
-                next = now + interval;
-                let report = handle.report();
-                conn.publish(&channel, &encode_report(&report));
-            }
-        });
+            })
+            .expect("spawn dm-reporter thread");
         LoadReporter {
-            running,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -238,7 +236,7 @@ impl LoadReporter {
     }
 
     fn stop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
+        self.stop = None;
         if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
@@ -289,7 +287,8 @@ impl std::fmt::Debug for LoadReporter {
 ///          stats.deaths_declared, stats.quarantined, stats.last_replan);
 /// ```
 pub struct LiveLoadBalancer {
-    running: Arc<AtomicBool>,
+    /// Dropping it stops the thread.
+    stop: Option<mpsc::Sender<()>>,
     stats: Arc<Mutex<LiveBalancerStats>>,
     thread: Option<JoinHandle<()>>,
 }
@@ -304,16 +303,18 @@ impl LiveLoadBalancer {
     /// Panics if `directory` is empty.
     pub fn start(directory: Vec<SocketAddr>, cfg: BalancerConfig) -> LiveLoadBalancer {
         assert!(!directory.is_empty(), "directory needs at least one broker");
-        let running = Arc::new(AtomicBool::new(true));
+        let (stop, stopped) = mpsc::channel();
         let stats = Arc::new(Mutex::new(LiveBalancerStats {
             active_brokers: directory.len(),
             ..LiveBalancerStats::default()
         }));
-        let flag = Arc::clone(&running);
         let stats_out = Arc::clone(&stats);
-        let thread = std::thread::spawn(move || Engine::new(directory, cfg, flag, stats_out).run());
+        let thread = std::thread::Builder::new()
+            .name("dm-balancer".into())
+            .spawn(move || Engine::new(directory, cfg, stats_out).run(stopped))
+            .expect("spawn dm-balancer thread");
         LiveLoadBalancer {
-            running,
+            stop: Some(stop),
             stats,
             thread: Some(thread),
         }
@@ -331,7 +332,7 @@ impl LiveLoadBalancer {
     }
 
     fn stop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
+        self.stop = None;
         if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
@@ -366,11 +367,12 @@ struct PendingInstall {
 struct Engine {
     directory: Vec<SocketAddr>,
     cfg: BalancerConfig,
-    running: Arc<AtomicBool>,
     stats: Arc<Mutex<LiveBalancerStats>>,
     /// One connection per broker: subscribed to its report channel,
     /// used to publish installs to its sidecar.
     clients: Vec<TcpPubSubClient>,
+    /// Each broker's report channel, named once.
+    lla: Vec<String>,
     ring: Ring,
     plan: Plan,
     next_plan_id: u64,
@@ -421,17 +423,17 @@ impl Engine {
     fn new(
         directory: Vec<SocketAddr>,
         cfg: BalancerConfig,
-        running: Arc<AtomicBool>,
         stats: Arc<Mutex<LiveBalancerStats>>,
     ) -> Engine {
         let servers: Vec<ServerId> = (0..directory.len()).map(ServerId::from_index).collect();
         let ring = Ring::new(&servers, DEFAULT_VNODES);
+        let lla: Vec<String> = (0..directory.len()).map(lla_channel).collect();
         let clients: Vec<TcpPubSubClient> = directory
             .iter()
-            .enumerate()
-            .map(|(idx, &addr)| {
+            .zip(&lla)
+            .map(|(&addr, channel)| {
                 let client = TcpPubSubClient::connect_addr(addr, cfg.client.clone());
-                client.subscribe(&lla_channel(idx));
+                client.subscribe(channel);
                 client
             })
             .collect();
@@ -445,9 +447,9 @@ impl Engine {
             placed: HashMap::new(),
             last_install_tick: None,
             directory,
-            running,
             stats,
             clients,
+            lla,
             ring,
             plan: Plan::bootstrap(),
             next_plan_id: 1,
@@ -460,9 +462,11 @@ impl Engine {
         }
     }
 
-    fn run(mut self) {
-        while self.running.load(Ordering::SeqCst) {
-            std::thread::sleep(self.cfg.client.timing.report_interval());
+    /// Evaluates once per report interval until `stop`'s sender is
+    /// dropped.
+    fn run(mut self, stop: mpsc::Receiver<()>) {
+        let interval = self.cfg.client.timing.report_interval();
+        while stop.recv_timeout(interval) == Err(mpsc::RecvTimeoutError::Timeout) {
             self.ingest();
             self.ticks += 1;
             self.detect_failures();
@@ -507,7 +511,7 @@ impl Engine {
         for (idx, client) in self.clients.iter().enumerate() {
             while client.try_event().is_some() {}
             while let Some(msg) = client.try_message() {
-                if msg.channel != lla_channel(idx) {
+                if msg.channel != self.lla[idx] {
                     continue;
                 }
                 let Some(report) = decode_report(&msg.payload) else {

@@ -61,18 +61,25 @@
 //! lapsed. One hole remains: a subscriber that first subscribes on the
 //! old home after the TTL lapsed replays nothing and hears no beacon, so
 //! it stays there until a later plan change reaches it.
+//!
+//! The pump thread (`dm-sidecar`) blocks on one channel until the next
+//! beacon or TTL expiry is due, with no deadline while no state is
+//! installed. Its connections send it one batch per socket read, and
+//! [`DispatcherSidecar::install`] calls arrive on it too: an install, local
+//! or a `DMINST1` frame, takes effect when it arrives.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::client::{frame_payload, ClientConfig, ClientEvent, Dedup, TcpPubSubClient};
+use crate::client::{
+    frame_payload, ClientConfig, ClientEvent, Dedup, Message, Sink, TcpPubSubClient,
+};
 use crate::control::{control_channel, install_channel, ControlFrame, InstallFrame, Quarantine};
 use crate::ids::{PlanId, ServerId};
 use crate::plan::ChannelMapping;
@@ -89,24 +96,13 @@ pub const RESEND_FIRST: Duration = Duration::from_millis(10);
 pub const RESEND_CAP: Duration = Duration::from_secs(1);
 
 /// Tuning knobs of a [`DispatcherSidecar`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SidecarConfig {
-    /// Pump thread granularity.
-    pub tick: Duration,
     /// Tuning for the underlying broker connections. Its
     /// [`Timing`](crate::Timing) also sets how long forwarding/switch state
     /// lives after installation ([`Timing::ttl`](crate::Timing::ttl)) and the
     /// new home's forward-back window.
     pub client: ClientConfig,
-}
-
-impl Default for SidecarConfig {
-    fn default() -> Self {
-        SidecarConfig {
-            tick: Duration::from_millis(5),
-            client: ClientConfig::default(),
-        }
-    }
 }
 
 /// One channel migration, as installed on a sidecar: the channel's name
@@ -162,7 +158,7 @@ struct ChannelState {
     expires_at: Instant,
     /// Brokers the balancer declared dead when it computed this state.
     /// Non-empty marks a failover install: every surviving sidecar
-    /// participates (see [`Pump::apply_installs`]) and forwarding never
+    /// participates (see [`Pump::apply_install`]) and forwarding never
     /// targets a quarantined broker.
     quarantine: Vec<Quarantine>,
     /// First install of this (channel, plan): opens the new home's
@@ -202,24 +198,53 @@ impl Resend {
     }
 }
 
-/// One queued install: the public [`DispatcherSidecar::install`] path
-/// queues an empty quarantine; `DMINST1` frames carry the balancer's.
-struct Install {
-    change: ChannelChange,
-    plan: PlanId,
-    quarantine: Vec<Quarantine>,
+/// What reaches the pump.
+enum Inbox {
+    /// The messages of one socket read on the watch.
+    Read(Vec<Message>),
+    /// The watch (`None`) or the connection to peer `Some(broker)` gave
+    /// up: the only [`ClientEvent`] the pump acts on.
+    GaveUp(Option<usize>),
+    /// A local [`DispatcherSidecar::install`] call.
+    Install(InstallFrame),
+    /// Sent by [`DispatcherSidecar::shutdown`] and on drop.
+    Stop,
 }
 
-struct SidecarShared {
-    running: AtomicBool,
-    installs: Mutex<Vec<Install>>,
-    stats: Mutex<SidecarStats>,
-    active: Mutex<usize>,
+/// The sink of the watch's and every peer's worker: the pump's inbox.
+struct PumpSink {
+    peer: Option<usize>,
+    /// The messages of the socket read being consumed.
+    batch: Vec<Message>,
+    inbox: mpsc::Sender<Inbox>,
+}
+
+impl Sink for PumpSink {
+    fn message(&mut self, msg: Message) {
+        self.batch.push(msg);
+    }
+
+    fn event(&mut self, event: ClientEvent) {
+        // What was read before the event goes first.
+        self.read_end();
+        if event == ClientEvent::GaveUp {
+            let _ = self.inbox.send(Inbox::GaveUp(self.peer));
+        }
+    }
+
+    fn read_end(&mut self) {
+        if !self.batch.is_empty() {
+            let _ = self
+                .inbox
+                .send(Inbox::Read(std::mem::take(&mut self.batch)));
+        }
+    }
 }
 
 /// The dispatcher sidecar of one broker (see module docs).
 pub struct DispatcherSidecar {
-    shared: Arc<SidecarShared>,
+    stats: Arc<Mutex<SidecarStats>>,
+    inbox: mpsc::Sender<Inbox>,
     pump: Option<JoinHandle<()>>,
     events: Mutex<mpsc::Receiver<SidecarEvent>>,
 }
@@ -234,30 +259,29 @@ impl DispatcherSidecar {
         directory: Vec<SocketAddr>,
         cfg: SidecarConfig,
     ) -> DispatcherSidecar {
-        let shared = Arc::new(SidecarShared {
-            running: AtomicBool::new(true),
-            installs: Mutex::new(Vec::new()),
-            stats: Mutex::new(SidecarStats::default()),
-            active: Mutex::new(0),
-        });
-        let pump_shared = Arc::clone(&shared);
+        let stats = Arc::new(Mutex::new(SidecarStats::default()));
         let (event_tx, event_rx) = mpsc::channel();
-        let pump = std::thread::spawn(move || {
-            Pump {
-                me,
-                directory,
-                cfg,
-                shared: pump_shared,
-                watch: None,
-                peers: HashMap::new(),
-                channels: HashMap::new(),
-                dedup: Dedup::new(),
-                events: event_tx,
-            }
-            .run()
-        });
+        let (inbox, inbox_rx) = mpsc::channel();
+        let pump = Pump {
+            me,
+            install: install_channel(me.index()),
+            directory,
+            cfg,
+            stats: Arc::clone(&stats),
+            inbox: inbox.clone(),
+            watch: None,
+            peers: HashMap::new(),
+            channels: HashMap::new(),
+            dedup: Dedup::new(),
+            events: event_tx,
+        };
+        let pump = std::thread::Builder::new()
+            .name("dm-sidecar".into())
+            .spawn(move || pump.run(inbox_rx))
+            .expect("spawn dm-sidecar thread");
         DispatcherSidecar {
-            shared,
+            stats,
+            inbox,
             pump: Some(pump),
             events: Mutex::new(event_rx),
         }
@@ -269,11 +293,13 @@ impl DispatcherSidecar {
     /// [`Timing::forward_back_window`](crate::Timing::forward_back_window) or
     /// the re-send schedules.
     pub fn install(&self, change: ChannelChange, plan: PlanId) {
-        self.shared.installs.lock().push(Install {
-            change,
+        let _ = self.inbox.send(Inbox::Install(InstallFrame {
             plan,
+            channel: change.channel,
+            old: change.old,
+            new: change.new,
             quarantine: Vec::new(),
-        });
+        }));
     }
 
     /// The next queued [`SidecarEvent`], if any.
@@ -284,9 +310,7 @@ impl DispatcherSidecar {
     /// Counters so far (`active_channels` is current, the rest are
     /// cumulative).
     pub fn stats(&self) -> SidecarStats {
-        let mut stats = self.shared.stats.lock().clone();
-        stats.active_channels = *self.shared.active.lock();
-        stats
+        self.stats.lock().clone()
     }
 
     /// Stops the pump thread and closes every broker connection.
@@ -295,7 +319,7 @@ impl DispatcherSidecar {
     }
 
     fn stop(&mut self) {
-        self.shared.running.store(false, Ordering::SeqCst);
+        let _ = self.inbox.send(Inbox::Stop);
         if let Some(handle) = self.pump.take() {
             let _ = handle.join();
         }
@@ -321,9 +345,13 @@ impl std::fmt::Debug for DispatcherSidecar {
 /// the loop-suppression window.
 struct Pump {
     me: ServerId,
+    /// This sidecar's install channel, named once.
+    install: String,
     directory: Vec<SocketAddr>,
     cfg: SidecarConfig,
-    shared: Arc<SidecarShared>,
+    stats: Arc<Mutex<SidecarStats>>,
+    /// Handed to every connection's [`PumpSink`].
+    inbox: mpsc::Sender<Inbox>,
     watch: Option<TcpPubSubClient>,
     peers: HashMap<usize, TcpPubSubClient>,
     channels: HashMap<String, ChannelState>,
@@ -332,192 +360,172 @@ struct Pump {
 }
 
 impl Pump {
-    fn run(mut self) {
-        // Watch eagerly: the install channel must be listening before
-        // the balancer's first plan delta, not after the first local
-        // `install()` call.
-        while self.shared.running.load(Ordering::SeqCst) {
-            // No-op while the watch is healthy; after a `GaveUp` this
-            // rebuilds the connection (and its subscriptions) so an
-            // outage longer than the retry budget still heals.
+    /// Blocks on the inbox until the next deadline, applies what arrived,
+    /// then runs the timers.
+    fn run(mut self, inbox: mpsc::Receiver<Inbox>) {
+        loop {
+            // Watch eagerly: the install channel must be listening before
+            // the balancer's first plan delta, not after the first local
+            // `install()` call. After a `GaveUp` this rebuilds the
+            // connection (and its subscriptions) so an outage longer than
+            // the retry budget still heals.
             self.watch();
-            self.apply_installs();
-            self.drain_watch();
+            let first = match self.next_deadline() {
+                Some(at) => inbox
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                    .ok(),
+                None => inbox.recv().ok(),
+            };
+            for input in first.into_iter().chain(inbox.try_iter()) {
+                match input {
+                    Inbox::Read(messages) => messages.into_iter().for_each(|m| self.handle(m)),
+                    Inbox::GaveUp(peer) => self.gave_up(peer),
+                    Inbox::Install(frame) => self.apply_install(frame),
+                    Inbox::Stop => return,
+                }
+            }
             self.beacon();
             self.expire();
-            std::thread::sleep(self.cfg.tick);
         }
     }
 
+    /// When the pump next has something to do unprompted: the earliest
+    /// beacon due or TTL expiry. `None` while no channel state is
+    /// installed.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.channels
+            .values()
+            .map(|s| s.switch.map_or(s.expires_at, |r| r.due.min(s.expires_at)))
+            .min()
+    }
+
+    /// A client of broker `peer`, or of this sidecar's own broker for the
+    /// watch (`peer: None`), whose worker feeds the inbox.
+    fn connect(&self, peer: Option<usize>) -> TcpPubSubClient {
+        let addr = self.directory[peer.unwrap_or(self.me.index())];
+        TcpPubSubClient::connect_sink(addr, self.cfg.client.clone(), |_| PumpSink {
+            peer,
+            batch: Vec::new(),
+            inbox: self.inbox.clone(),
+        })
+    }
+
     /// The watch connection, rebuilt in place when a `GaveUp` tore it
-    /// down. Structurally infallible: the client value is constructed
-    /// inside `get_or_insert_with`, so there is no window in which the
-    /// pump can observe a missing watch and panic (the connection
-    /// itself is established asynchronously by the client's worker; an
-    /// unreachable broker surfaces as [`SidecarEvent::PeerUnavailable`]
-    /// from the event drain, never as a crash).
+    /// down. Structurally infallible: there is no window in which the
+    /// pump can observe a missing watch and panic (the connection itself
+    /// is established asynchronously by the client's worker; an
+    /// unreachable broker surfaces as [`SidecarEvent::PeerUnavailable`],
+    /// never as a crash).
     fn watch(&mut self) -> &TcpPubSubClient {
-        let addr = self.directory[self.me.index()];
-        let cfg = self.cfg.client.clone();
-        let me = self.me.index();
-        let channels = &self.channels;
-        self.watch.get_or_insert_with(|| {
-            let client = TcpPubSubClient::connect_addr(addr, cfg);
+        let watch = self.watch.take().unwrap_or_else(|| {
+            let client = self.connect(None);
             // (Re-)establish the control-plane subscriptions: the
             // balancer's install channel plus any channel state that
             // survived a dropped watch connection.
-            client.subscribe(&install_channel(me));
-            for channel in channels.keys() {
+            client.subscribe(&self.install);
+            for channel in self.channels.keys() {
                 client.subscribe(channel);
             }
             client
-        })
+        });
+        self.watch.insert(watch)
     }
 
     fn peer(&mut self, server: ServerId) -> &TcpPubSubClient {
         let idx = server.index();
         if !self.peers.contains_key(&idx) {
-            let client =
-                TcpPubSubClient::connect_addr(self.directory[idx], self.cfg.client.clone());
+            let client = self.connect(Some(idx));
             self.peers.insert(idx, client);
         }
         &self.peers[&idx]
     }
 
-    fn apply_installs(&mut self) {
-        let installs: Vec<Install> = std::mem::take(&mut *self.shared.installs.lock());
-        for install in installs {
-            let Install {
-                change,
-                plan,
-                quarantine,
-            } = install;
-            // Installs are payload-space input (anyone can publish a
-            // `DMINST1` frame): one naming a broker outside the
-            // directory would index past it on the first forward.
-            let brokers = self.directory.len();
-            let in_directory = |m: &ChannelMapping| m.servers().iter().all(|s| s.index() < brokers);
-            if !in_directory(&change.old)
-                || !in_directory(&change.new)
-                || quarantine.iter().any(|q| q.broker >= brokers)
-            {
-                continue;
-            }
-            // A failover install (non-empty quarantine) involves every
-            // surviving sidecar: routers guessing the new home by ring
-            // exclusion may land publications on *any* survivor, which
-            // must then know where to forward and correct them.
-            let involved = change.old.contains(self.me) || change.new.contains(self.me);
-            let failover = !quarantine.is_empty();
-            if !involved && !failover {
-                continue;
-            }
-            let now = Instant::now();
-            let mut state = ChannelState {
-                old: change.old,
-                new: change.new,
-                plan,
-                expires_at: now + self.cfg.client.timing.ttl(),
-                quarantine,
-                installed_at: now,
-                switch: None,
-                moved: HashMap::new(),
-            };
-            match self.channels.get_mut(&change.channel) {
-                Some(existing) if existing.plan > plan => continue,
-                // A refresh (the balancer re-sends installs for
-                // `Timing::install_refresh`) extends the TTL only: the
-                // forward-back window and the re-send schedules run on.
-                Some(existing) if existing.plan == plan => {
-                    state.installed_at = existing.installed_at;
-                    state.switch = existing.switch;
-                    state.moved = std::mem::take(&mut existing.moved);
-                }
-                Some(_) => {}
-                None => {
-                    self.watch().subscribe(&change.channel);
-                }
-            }
-            self.channels.insert(change.channel, state);
-            *self.shared.active.lock() = self.channels.len();
-        }
-    }
-
-    fn drain_watch(&mut self) {
-        let Some(watch) = self.watch.as_ref() else {
+    /// Applies one install, local or a `DMINST1` frame: idempotent per
+    /// (channel, plan), a re-send refreshes the TTL.
+    fn apply_install(&mut self, install: InstallFrame) {
+        let plan = install.plan;
+        // Installs are payload-space input (anyone can publish a
+        // `DMINST1` frame): one naming a broker outside the
+        // directory would index past it on the first forward.
+        let brokers = self.directory.len();
+        let in_directory = |m: &ChannelMapping| m.servers().iter().all(|s| s.index() < brokers);
+        if !in_directory(&install.old)
+            || !in_directory(&install.new)
+            || install.quarantine.iter().any(|q| q.broker >= brokers)
+        {
             return;
+        }
+        // A failover install (non-empty quarantine) involves every
+        // surviving sidecar: routers guessing the new home by ring
+        // exclusion may land publications on *any* survivor, which
+        // must then know where to forward and correct them.
+        let involved = install.old.contains(self.me) || install.new.contains(self.me);
+        let failover = !install.quarantine.is_empty();
+        if !involved && !failover {
+            return;
+        }
+        let now = Instant::now();
+        let mut state = ChannelState {
+            old: install.old,
+            new: install.new,
+            plan,
+            expires_at: now + self.cfg.client.timing.ttl(),
+            quarantine: install.quarantine,
+            installed_at: now,
+            switch: None,
+            moved: HashMap::new(),
         };
-        let mut messages = Vec::new();
-        while let Some(msg) = watch.try_message() {
-            messages.push(msg);
-        }
-        // Drain the watch connection's event queue; a worker that gave
-        // up reconnecting leaves a dead client behind, so drop it (the
-        // next use rebuilds it — with its subscriptions — from scratch)
-        // and surface the outage instead of silently wedging.
-        let mut watch_gave_up = false;
-        while let Some(event) = watch.try_event() {
-            if matches!(event, ClientEvent::GaveUp) {
-                watch_gave_up = true;
+        match self.channels.get_mut(&install.channel) {
+            Some(existing) if existing.plan > plan => return,
+            // A refresh (the balancer re-sends installs for
+            // `Timing::install_refresh`) extends the TTL only: the
+            // forward-back window and the re-send schedules run on.
+            Some(existing) if existing.plan == plan => {
+                state.installed_at = existing.installed_at;
+                state.switch = existing.switch;
+                state.moved = std::mem::take(&mut existing.moved);
+            }
+            Some(_) => {}
+            None => {
+                self.watch().subscribe(&install.channel);
             }
         }
-        if watch_gave_up {
-            self.watch = None;
-            let _ = self.events.send(SidecarEvent::PeerUnavailable {
-                broker: self.me.index(),
-            });
-        }
-        // Same for forwarding peers: prune dead clients so the next
-        // forward reconnects instead of publishing into a void.
-        let mut dead_peers = Vec::new();
-        for (&idx, peer) in &self.peers {
-            while let Some(event) = peer.try_event() {
-                if matches!(event, ClientEvent::GaveUp) {
-                    dead_peers.push(idx);
-                }
-            }
-        }
-        for idx in dead_peers {
-            if let Some(peer) = self.peers.remove(&idx) {
-                // The dead worker deposited its queued-but-unconfirmed
-                // forwards before exiting; rescue them onto a fresh
-                // client (with a fresh reconnect budget) so an in-flight
-                // migration window does not silently drop frames when
-                // the peer connection dies mid-forward. Wire ids are
-                // preserved, so a frame that *did* land before the
-                // connection died is absorbed by downstream dedup.
-                let stranded = peer.take_unsent(Duration::from_millis(500));
-                drop(peer);
-                for (channel, framed) in stranded {
-                    self.peer(ServerId::from_index(idx))
-                        .publish_raw(&channel, &framed);
-                }
-            }
-            let _ = self
-                .events
-                .send(SidecarEvent::PeerUnavailable { broker: idx });
-        }
-        for msg in messages {
-            self.handle(msg);
-        }
+        self.channels.insert(install.channel, state);
+        self.stats.lock().active_channels = self.channels.len();
     }
 
-    fn handle(&mut self, msg: crate::client::Message) {
+    /// A worker that gave up reconnecting leaves a dead client behind:
+    /// drop it (the next use rebuilds it, with its subscriptions, from
+    /// scratch) and surface the outage instead of silently wedging.
+    fn gave_up(&mut self, peer: Option<usize>) {
+        let broker = peer.unwrap_or(self.me.index());
+        if peer.is_none() {
+            self.watch = None;
+        } else if let Some(client) = self.peers.remove(&broker) {
+            // The dead worker deposited its queued-but-unconfirmed
+            // forwards before exiting; rescue them onto a fresh client
+            // (with a fresh reconnect budget) so an in-flight migration
+            // window does not silently drop frames when the peer
+            // connection dies mid-forward. Wire ids are preserved, so a
+            // frame that *did* land before the connection died is
+            // absorbed by downstream dedup.
+            let stranded = client.take_unsent(Duration::from_millis(500));
+            drop(client);
+            for (channel, framed) in stranded {
+                self.peer(ServerId::from_index(broker))
+                    .publish_raw(&channel, &framed);
+            }
+        }
+        let _ = self.events.send(SidecarEvent::PeerUnavailable { broker });
+    }
+
+    fn handle(&mut self, msg: Message) {
         // Plan deltas from the live balancer arrive on our private
         // install channel; they feed the same install path a local
-        // `install()` call does (idempotent per (channel, plan), TTL
-        // refresh on re-send).
-        if msg.channel == install_channel(self.me.index()) {
+        // `install()` call does.
+        if msg.channel == self.install {
             if let Some(frame) = InstallFrame::decode(&msg.payload) {
-                self.shared.installs.lock().push(Install {
-                    change: ChannelChange {
-                        channel: frame.channel,
-                        old: frame.old,
-                        new: frame.new,
-                    },
-                    plan: frame.plan,
-                    quarantine: frame.quarantine,
-                });
+                self.apply_install(frame);
             }
             return;
         }
@@ -550,10 +558,10 @@ impl Pump {
         let mut moved_now = false;
         let mut targets = Vec::new();
         match msg.id {
-            None => self.shared.stats.lock().unforwardable += 1,
+            None => self.stats.lock().unforwardable += 1,
             Some(id) => {
                 if !self.dedup.insert(id, DEDUP_WINDOW) {
-                    self.shared.stats.lock().duplicates_suppressed += 1;
+                    self.stats.lock().duplicates_suppressed += 1;
                 } else if act_as_old {
                     moved_now = match state.moved.entry(id.origin) {
                         Entry::Vacant(slot) => {
@@ -592,7 +600,7 @@ impl Pump {
         for &target in &targets {
             self.peer(target).publish_raw(&msg.channel, &framed);
         }
-        self.shared.stats.lock().forwarded += targets.len() as u64;
+        self.stats.lock().forwarded += targets.len() as u64;
     }
 
     /// Re-emits every `<switch>` beacon that is due.
@@ -621,7 +629,7 @@ impl Pump {
             quarantine: state.quarantine.clone(),
         };
         self.watch().publish(channel, &frame.encode());
-        self.shared.stats.lock().switches_emitted += 1;
+        self.stats.lock().switches_emitted += 1;
     }
 
     /// Publishes a `MOVED` to the installed new mapping of `channel` on
@@ -638,7 +646,7 @@ impl Pump {
         };
         self.watch()
             .publish(&control_channel(origin), &frame.encode());
-        self.shared.stats.lock().moved_emitted += 1;
+        self.stats.lock().moved_emitted += 1;
     }
 
     fn expire(&mut self) {
@@ -658,9 +666,9 @@ impl Pump {
                 watch.unsubscribe(channel);
             }
         }
-        let mut stats = self.shared.stats.lock();
+        let mut stats = self.stats.lock();
         stats.expired += lapsed.len() as u64;
-        *self.shared.active.lock() = self.channels.len();
+        stats.active_channels = self.channels.len();
     }
 }
 

@@ -40,7 +40,6 @@ use common::{seed, sid, timing, wait_until, with_deadline};
 /// budget on 300 ms liveness timeouts.
 fn outage_cfg(seed: u64) -> SidecarConfig {
     SidecarConfig {
-        tick: Duration::from_millis(5),
         client: ClientConfig {
             timing: timing(Duration::from_millis(10)),
             tick: Duration::from_millis(5),

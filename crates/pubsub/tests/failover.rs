@@ -65,7 +65,6 @@ fn router_cfg(seed: u64) -> RouterConfig {
 
 fn sidecar_cfg(seed: u64) -> SidecarConfig {
     SidecarConfig {
-        tick: Duration::from_millis(5),
         client: client_cfg(seed),
     }
 }
@@ -637,7 +636,6 @@ fn sidecar_peer_death_mid_migration_loses_no_forwards() {
             sid(0),
             directory,
             SidecarConfig {
-                tick: Duration::from_millis(5),
                 client: ClientConfig {
                     // A tight budget so the peer outage actually
                     // exhausts it: blackholed connects succeed at the

@@ -83,7 +83,6 @@ fn skewed_traffic_trips_autonomous_rebalancing() {
                     sid(i),
                     direct.clone(),
                     SidecarConfig {
-                        tick: Duration::from_millis(5),
                         client: client_cfg(seed ^ (0x50 + i as u64)),
                     },
                 )

@@ -395,7 +395,6 @@ fn mid_outage_switch_migration_still_resumes_on_the_new_home() {
 
         // Sidecars talk to their brokers on clean paths.
         let side_cfg = SidecarConfig {
-            tick: Duration::from_millis(5),
             client: chaos_cfg(seed ^ 7),
         };
         let sidecars: Vec<DispatcherSidecar> = (0..2)

@@ -1,10 +1,14 @@
-//! The delivery path's thread budget, pinned by four tests:
+//! The delivery path's thread budget, pinned by five tests:
 //!
 //! - a publication that reaches the broker reaches
 //!   [`RoutedClient::try_message`] without waiting for anything but the
 //!   subscriber's own worker — no pump pass, no poll, no sleep;
 //! - an idle router owns B+1 threads over B brokers and its control
 //!   thread (`dm-router`) sleeps instead of ticking;
+//! - an idle control plane sleeps too: a sidecar's pump (`dm-sidecar`)
+//!   with no channel state does not wake, a load reporter (`dm-reporter`)
+//!   and the balancer (`dm-balancer`) wake once per report interval, and
+//!   each stops at once;
 //! - tearing a connection down is the control thread's job even when
 //!   the verdict arrives on the very connection it condemns;
 //! - a connection cut in the middle of a batched flush returns the
@@ -19,9 +23,11 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
-    channel_id_of, control_channel, resp, ChannelMapping, ChaosProxy, ClientConfig, ClientEvent,
-    ControlFrame, Direction, GapReason, PlanId, Quarantine, Ring, RoutedClient, RouterConfig,
-    ServerId, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
+    channel_id_of, control_channel, install_channel, lla_channel, resp, BalancerConfig,
+    ChannelMapping, ChaosProxy, ClientConfig, ClientEvent, ControlFrame, Direction,
+    DispatcherSidecar, GapReason, LiveLoadBalancer, LoadReporter, PlanId, Quarantine, Ring,
+    RoutedClient, RouterConfig, ServerId, SidecarConfig, TcpBroker, TcpPubSubClient,
+    DEFAULT_VNODES,
 };
 
 mod common;
@@ -37,6 +43,15 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 fn with_deadline(secs: u64, body: impl FnOnce() + Send + 'static) {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     common::with_deadline(secs, body);
+}
+
+/// `(tid, name)` of every live `dm-*` thread of this process.
+#[cfg(target_os = "linux")]
+fn dm_threads() -> Vec<(String, String)> {
+    threads()
+        .into_iter()
+        .filter(|(_, name)| name.starts_with("dm-"))
+        .collect()
 }
 
 fn brokers(n: usize) -> (Vec<TcpBroker>, Vec<SocketAddr>) {
@@ -141,12 +156,6 @@ fn delivery_reaches_try_message_without_a_pump_pass() {
 #[test]
 fn idle_router_owns_b_plus_one_threads_and_its_control_thread_sleeps() {
     with_deadline(60, || {
-        let dm_threads = || -> Vec<(String, String)> {
-            threads()
-                .into_iter()
-                .filter(|(_, name)| name.starts_with("dm-"))
-                .collect()
-        };
         assert_eq!(dm_threads(), Vec::new(), "another test's threads are alive");
 
         let (brokers, directory) = brokers(3);
@@ -173,6 +182,77 @@ fn idle_router_owns_b_plus_one_threads_and_its_control_thread_sleeps() {
         let stopping = Instant::now();
         router.shutdown();
         assert!(stopping.elapsed() < Duration::from_secs(2));
+        assert_eq!(dm_threads(), Vec::new(), "threads leaked past shutdown");
+        for broker in brokers {
+            broker.shutdown();
+        }
+    });
+}
+
+/// The control plane over one idle broker: a sidecar with no channel
+/// state has no deadline, so its pump does not wake (it polled every
+/// 5 ms: 192 wake-ups in a second); the reporter and the balancer wake
+/// once per report interval (the reporter woke every 10 ms). None sleeps
+/// through its shutdown (the balancer slept a whole interval).
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_control_plane_sleeps_and_stops_at_once() {
+    with_deadline(60, || {
+        assert_eq!(dm_threads(), Vec::new(), "another test's threads are alive");
+        let (brokers, directory) = brokers(1);
+        let sidecar = DispatcherSidecar::start(
+            ServerId::from_index(0),
+            directory.clone(),
+            SidecarConfig::default(),
+        );
+        let reporter = LoadReporter::start(
+            brokers[0].load_handle(),
+            0,
+            directory[0],
+            ClientConfig::default(),
+        );
+        let balancer = LiveLoadBalancer::start(directory, BalancerConfig::default());
+        wait_until(
+            "the watch and the balancer",
+            Duration::from_secs(10),
+            || {
+                brokers[0].channel_subscribers(&install_channel(0)) == 1
+                    && brokers[0].channel_subscribers(&lla_channel(0)) == 1
+            },
+        );
+
+        let owned = dm_threads();
+        let limits = [("dm-sidecar", 2), ("dm-reporter", 3), ("dm-balancer", 3)];
+        let counted: Vec<(&str, u64, String, u64)> = limits
+            .iter()
+            .map(|&(name, limit)| {
+                let (tid, _) = owned
+                    .iter()
+                    .find(|(_, n)| n == name)
+                    .unwrap_or_else(|| panic!("no {name} thread in {owned:?}"));
+                (name, limit, tid.clone(), voluntary_switches(tid))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_secs(1));
+        for (name, limit, tid, before) in counted {
+            let woke = voluntary_switches(&tid) - before;
+            assert!(woke <= limit, "idle {name} woke {woke} times in 1 s");
+        }
+
+        fn timed(stop: impl FnOnce()) -> Duration {
+            let stopping = Instant::now();
+            stop();
+            stopping.elapsed()
+        }
+        let took = [
+            timed(|| balancer.shutdown()),
+            timed(|| reporter.shutdown()),
+            timed(|| sidecar.shutdown()),
+        ];
+        assert!(
+            took.iter().all(|t| *t < Duration::from_millis(100)),
+            "shutdown of the balancer, reporter and sidecar took {took:?}"
+        );
         assert_eq!(dm_threads(), Vec::new(), "threads leaked past shutdown");
         for broker in brokers {
             broker.shutdown();

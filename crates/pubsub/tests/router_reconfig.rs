@@ -13,7 +13,8 @@
 //! stopped forwarding back still hears a `<switch>` beacon and catches up
 //! by replay at the new home, and a stale publisher that never reroutes
 //! has every publication forwarded while earning a bounded number of
-//! control frames, not one per publication.
+//! control frames, not one per publication. A last one checks that
+//! installed state expires on its TTL with no traffic to wake a sidecar.
 //!
 //! Deterministic per seed: run with `CHAOS_SEED=<n>` for a different
 //! schedule (CI runs two).
@@ -60,7 +61,6 @@ fn router_cfg(seed: u64, timing: Timing) -> RouterConfig {
 
 fn sidecar_cfg(seed: u64, timing: Timing) -> SidecarConfig {
     SidecarConfig {
-        tick: Duration::from_millis(5),
         client: client_cfg(seed, timing),
     }
 }
@@ -332,14 +332,14 @@ struct Pair {
 }
 
 impl Pair {
-    fn start(seed: u64) -> Pair {
+    fn start(seed: u64, timing: Timing) -> Pair {
         let brokers: Vec<TcpBroker> = (0..2)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
             .collect();
         let direct: Vec<SocketAddr> = brokers.iter().map(|b| b.local_addr()).collect();
         let sidecars = (0..2)
             .map(|i| {
-                let cfg = sidecar_cfg(seed ^ (0x20 + i as u64), Timing::default());
+                let cfg = sidecar_cfg(seed ^ (0x20 + i as u64), timing);
                 DispatcherSidecar::start(sid(i), direct.clone(), cfg)
             })
             .collect();
@@ -395,7 +395,7 @@ impl Pair {
 fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home() {
     with_deadline(60, || {
         let seed = seed(0x0D15_EA5E);
-        let pair = Pair::start(seed);
+        let pair = Pair::start(seed, Timing::default());
         let ch = pair.channel.clone();
         let installed = pair.migrate();
 
@@ -478,7 +478,7 @@ fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home(
 fn stale_publisher_that_never_reroutes_costs_a_bounded_number_of_control_frames() {
     with_deadline(60, || {
         let seed = seed(0x0D15_EA5E);
-        let pair = Pair::start(seed);
+        let pair = Pair::start(seed, Timing::default());
         let ch = pair.channel.clone();
         let sub = pair.router(seed ^ 5);
         sub.subscribe(&ch);
@@ -542,6 +542,42 @@ fn stale_publisher_that_never_reroutes_costs_a_bounded_number_of_control_frames(
 
         sub.shutdown();
         publisher.shutdown();
+        pair.shutdown();
+    });
+}
+
+/// Nothing but the TTL deadline wakes a sidecar whose channel sees no
+/// traffic: if the pump forgot it, the state would live for ever.
+#[test]
+fn installed_state_expires_on_its_ttl_without_traffic() {
+    with_deadline(60, || {
+        let timing = Timing::new(Duration::from_millis(10), Duration::from_millis(100), 3)
+            .expect("valid timing");
+        let ttl = timing.ttl();
+        assert_eq!(ttl, Duration::from_secs(1));
+        let pair = Pair::start(seed(0x0D15_EA5E), timing);
+        let ch = pair.channel.clone();
+        let installed = pair.migrate();
+        // (expired, active channels, watch subscriptions) per sidecar.
+        let state = |i: usize| {
+            let stats = pair.sidecars[i].stats();
+            let watching = pair.brokers[i].channel_subscribers(&ch);
+            (stats.expired, stats.active_channels, watching)
+        };
+        wait_until("both states installed", Duration::from_secs(10), || {
+            (0..2).all(|i| state(i) == (0, 1, 1))
+        });
+        while installed.elapsed() < ttl - Duration::from_millis(50) {
+            for i in 0..2 {
+                assert_eq!(state(i), (0, 1, 1), "sidecar {i} expired early");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let by = (installed + ttl + Duration::from_millis(200))
+            .saturating_duration_since(Instant::now());
+        wait_until("both states expired", by, || {
+            (0..2).all(|i| state(i) == (1, 0, 0))
+        });
         pair.shutdown();
     });
 }

@@ -57,8 +57,8 @@ use crate::load::{BrokerLoadAnalyzer, BrokerLoadReport};
 use crate::outbox::{self, Frame, OutboxSender, OverflowPolicy};
 use crate::reactor::{self, LoopHandle};
 use crate::resp::{self, Command, Value};
-use crate::seq;
 use crate::shard::{ShardedIndex, SubscriberRef};
+use crate::wire;
 
 /// Hard ceiling on auto-selected I/O loops: beyond this, extra loops
 /// buy contention, not throughput, for a pub/sub broker whose hot path
@@ -582,7 +582,7 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
                 // A `DMSEQ1;<from|->;<name>` argument asks for sequenced
                 // delivery and, with an explicit `from`, a replay of the
                 // retained suffix; a plain argument subscribes plainly.
-                let (name, from, sequenced) = match seq::parse_subscribe_arg(&arg) {
+                let (name, from, sequenced) = match wire::parse_subscribe_arg(&arg) {
                     Some((name, from)) => (name.to_owned(), from, true),
                     None => (arg, None, false),
                 };
@@ -614,14 +614,14 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
                     return false;
                 }
                 if let Some((requested, resume_from)) = outcome.gap {
-                    let gap = resp::message_push(&name, &seq::gap_marker(requested, resume_from));
+                    let gap = resp::message_push(&name, &wire::gap(requested, resume_from));
                     if !send_value(&state.outbox, &gap) {
                         return false;
                     }
                 }
                 let replayed = outcome.replay.len() as u64;
                 for (s, payload) in outcome.replay {
-                    let push = resp::message_push(&name, &seq::prefix_payload(s, &payload));
+                    let push = resp::message_push(&name, &wire::sequenced(s, &payload));
                     if !send_value(&state.outbox, &push) {
                         return false;
                     }
@@ -631,7 +631,7 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
                 // `Resumed` deterministically.
                 if outcome.sequenced && from.is_some() {
                     let done =
-                        resp::message_push(&name, &seq::resume_marker(replayed, outcome.next_seq));
+                        resp::message_push(&name, &wire::resumed(replayed, outcome.next_seq));
                     if !send_value(&state.outbox, &done) {
                         return false;
                     }
@@ -675,7 +675,7 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
             for sub in fanout.subs.iter() {
                 let frame = if sub.sequenced {
                     seqed.get_or_insert_with(|| {
-                        let body = seq::prefix_payload(fanout.seq.unwrap_or(0), &payload);
+                        let body = wire::sequenced(fanout.seq.unwrap_or(0), &payload);
                         encode_frame(&resp::message_push(&name, &body))
                     })
                 } else {

@@ -88,8 +88,10 @@ use parking_lot::Mutex;
 
 use crate::resp::{self, Value};
 use crate::rng::SplitMix64;
-use crate::seq;
 use crate::timing::Timing;
+use crate::wire::{self, Delivery};
+
+pub use crate::wire::{frame_payload, parse_payload, ID_HEADER_LEN};
 
 /// Tuning knobs of a [`TcpPubSubClient`].
 #[derive(Debug, Clone)]
@@ -278,58 +280,6 @@ pub struct Message {
 /// the oldest is dropped with [`DropCause::QueueFull`].
 const MAX_PENDING_PUBLISHES: usize = 4096;
 
-const ID_MAGIC: &[u8] = b"DMID1;";
-/// Bytes the wire-id header adds in front of a framed payload.
-pub const ID_HEADER_LEN: usize = 6 + 16 + 16 + 1;
-
-/// Frames `body` with `id` for the paper's duplicate-suppression
-/// scheme: `DMID1;<origin:016x><seq:016x>;<body>`. The header is plain
-/// payload bytes to the broker, so unmodified RESP servers forward it
-/// untouched.
-pub fn frame_payload(id: MessageId, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ID_HEADER_LEN + body.len());
-    out.extend_from_slice(ID_MAGIC);
-    push_hex16(&mut out, id.origin);
-    push_hex16(&mut out, id.seq);
-    out.push(b';');
-    out.extend_from_slice(body);
-    out
-}
-
-/// Appends `v` as 16 lower-case hex digits.
-fn push_hex16(out: &mut Vec<u8>, v: u64) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut hex = [0u8; 16];
-    for (i, digit) in hex.iter_mut().enumerate() {
-        *digit = DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
-    }
-    out.extend_from_slice(&hex);
-}
-
-/// Splits a delivered payload into its wire id (if the publisher framed
-/// one) and the body. Payloads without a valid header pass through
-/// verbatim.
-pub fn parse_payload(payload: &[u8]) -> (Option<MessageId>, &[u8]) {
-    if payload.len() < ID_HEADER_LEN
-        || !payload.starts_with(ID_MAGIC)
-        || payload[ID_HEADER_LEN - 1] != b';'
-    {
-        return (None, payload);
-    }
-    let hex = &payload[ID_MAGIC.len()..ID_HEADER_LEN - 1];
-    let Ok(hex) = std::str::from_utf8(hex) else {
-        return (None, payload);
-    };
-    let (origin, seq) = hex.split_at(16);
-    match (
-        u64::from_str_radix(origin, 16),
-        u64::from_str_radix(seq, 16),
-    ) {
-        (Ok(origin), Ok(seq)) => (Some(MessageId { origin, seq }), &payload[ID_HEADER_LEN..]),
-        _ => (None, payload),
-    }
-}
-
 /// Sliding duplicate-suppression window (mirrors the simulator client's
 /// scheme): a set for O(1) membership plus FIFO eviction order. Shared
 /// with the routed tier: the router and the dispatcher sidecar keep
@@ -512,15 +462,15 @@ impl ResumeState {
     /// The `SUBSCRIBE` argument re-establishing this subscription:
     /// plain name without resume, `DMSEQ1`-framed otherwise — from the
     /// furthest point already covered, live when nothing is.
-    fn subscribe_arg(&self, resume: bool, channel: &str) -> String {
+    fn subscribe_arg(&self, resume: bool, channel: &str) -> Vec<u8> {
         if !resume {
-            return channel.to_owned();
+            return channel.as_bytes().to_vec();
         }
         let from = match (self.base_from, self.high_water) {
             (None, None) => None,
             (base, hw) => Some(base.unwrap_or(0).max(hw.map_or(0, |h| h + 1))),
         };
-        seq::encode_subscribe_arg(channel, from)
+        wire::subscribe_arg(channel, from)
     }
 }
 
@@ -994,13 +944,13 @@ impl Worker {
         // the previous connection leaks into this one.)
         self.out.clear();
         if !self.desired.is_empty() {
-            let args: Vec<String> = self
+            let args: Vec<Vec<u8>> = self
                 .desired
                 .iter()
                 .map(|(c, st)| st.subscribe_arg(self.cfg.resume, c))
                 .collect();
             let mut parts: Vec<&[u8]> = vec![b"SUBSCRIBE"];
-            parts.extend(args.iter().map(|a| a.as_bytes()));
+            parts.extend(args.iter().map(Vec::as_slice));
             resp::encode_command(&parts, &mut self.out);
             if !self.flush(&mut s.stream) {
                 return DisconnectReason::Io;
@@ -1117,16 +1067,19 @@ impl Worker {
                     Value::Bulk(Some(c)) => String::from_utf8_lossy(c).into_owned(),
                     _ => return,
                 };
-                let mut payload = match &items[2] {
+                let payload = match &items[2] {
                     Value::Bulk(Some(p)) => p.as_slice(),
                     _ => return,
                 };
-                let mut broker_seq = None;
-                if self.cfg.resume {
-                    // Resume-protocol markers arrive as unicast pushes
-                    // on the channel; intercept them before the normal
-                    // delivery path.
-                    if let Some((requested, resume_from)) = seq::parse_gap(payload) {
+                // Resume-protocol markers arrive as unicast pushes on the
+                // channel; they never reach the normal delivery path.
+                let delivery = if self.cfg.resume {
+                    wire::delivery(payload)
+                } else {
+                    Delivery::Plain(payload)
+                };
+                let (broker_seq, payload) = match delivery {
+                    Delivery::Gap(requested, resume_from) => {
                         // `resume_from < requested` means the broker's
                         // sequence space restarted under us: the stale
                         // high-water must be forgotten or every future
@@ -1147,18 +1100,18 @@ impl Worker {
                         });
                         return;
                     }
-                    if let Some((replayed, _next)) = seq::parse_resume(payload) {
+                    Delivery::Resumed(replayed, _) => {
                         self.emit(ClientEvent::Resumed { channel, replayed });
                         return;
                     }
-                    if let Some((s, body)) = seq::parse_seq_payload(payload) {
-                        broker_seq = Some(s);
-                        payload = body;
+                    Delivery::Sequenced(seq, body) => {
                         if let Some(st) = self.desired.get_mut(&channel) {
-                            st.high_water = Some(st.high_water.map_or(s, |h| h.max(s)));
+                            st.high_water = Some(st.high_water.map_or(seq, |h| h.max(seq)));
                         }
+                        (Some(seq), body)
                     }
-                }
+                    Delivery::Plain(body) => (None, body),
+                };
                 let (id, body) = parse_payload(payload);
                 if let Some(id) = id {
                     if !self.dedup.insert(id, self.cfg.dedup_window) {
@@ -1212,7 +1165,7 @@ impl Worker {
                     // the registration and replays from the new point.
                     if connected && (is_new || from.is_some()) {
                         let arg = st.subscribe_arg(self.cfg.resume, &channel);
-                        resp::encode_command(&[b"SUBSCRIBE", arg.as_bytes()], &mut self.out);
+                        resp::encode_command(&[b"SUBSCRIBE", &arg], &mut self.out);
                     }
                 }
                 Cmd::Unsubscribe(channel) => {
@@ -1342,28 +1295,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_ids_roundtrip() {
-        let ids = [
-            (0xdead_beef_cafe_f00d, 42),
-            (0, 0),
-            (u64::MAX, u64::MAX),
-            (0x0123_4567_89ab_cdef, u64::MAX - 1),
-            (u64::MAX, 1),
-        ];
-        for (origin, seq) in ids {
-            let id = MessageId { origin, seq };
-            let framed = frame_payload(id, b"position update");
-            assert_eq!(
-                &framed[..ID_HEADER_LEN],
-                format!("DMID1;{origin:016x}{seq:016x};").as_bytes()
-            );
-            let (parsed, body) = parse_payload(&framed);
-            assert_eq!(parsed, Some(id));
-            assert_eq!(body, b"position update");
-        }
-    }
-
-    #[test]
     fn ticks_are_shared_and_within_one_period() {
         let period = Duration::from_millis(20);
         let now = Instant::now();
@@ -1377,57 +1308,26 @@ mod tests {
     }
 
     #[test]
-    fn unframed_payloads_pass_through() {
-        for raw in [&b"plain"[..], b"", b"DMID1;short", &[0u8; 64][..]] {
-            let (id, body) = parse_payload(raw);
-            assert_eq!(id, None);
-            assert_eq!(body, raw);
-        }
-    }
-
-    #[test]
-    fn header_lookalike_with_bad_hex_passes_through() {
-        let mut fake = Vec::new();
-        fake.extend_from_slice(ID_MAGIC);
-        fake.extend_from_slice(&[b'z'; 32]);
-        fake.push(b';');
-        fake.extend_from_slice(b"body");
-        let (id, body) = parse_payload(&fake);
-        assert_eq!(id, None);
-        assert_eq!(body, &fake[..]);
-    }
-
-    #[test]
     fn resubscribe_arg_resumes_past_the_furthest_point() {
-        let fresh = ResumeState::default();
-        // A fresh subscription goes live-sequenced: no history replay.
-        assert_eq!(fresh.subscribe_arg(true, "ch"), "DMSEQ1;-;ch");
-        assert_eq!(fresh.subscribe_arg(false, "ch"), "ch");
-        let hw = ResumeState {
-            base_from: None,
-            high_water: Some(9),
+        let arg = |base_from, high_water| ResumeState {
+            base_from,
+            high_water,
         };
+        // A fresh subscription goes live-sequenced: no history replay.
+        let fresh = arg(None, None);
         assert_eq!(
-            hw.subscribe_arg(true, "ch"),
-            format!("DMSEQ1;{:016x};ch", 10)
+            fresh.subscribe_arg(true, "ch"),
+            wire::subscribe_arg("ch", None)
         );
+        assert_eq!(fresh.subscribe_arg(false, "ch"), b"ch");
+        let after_hw = wire::subscribe_arg("ch", Some(10));
+        assert_eq!(arg(None, Some(9)).subscribe_arg(true, "ch"), after_hw);
         // An explicit base only wins while it lies beyond the
         // high-water mark.
-        let both = ResumeState {
-            base_from: Some(3),
-            high_water: Some(9),
-        };
+        assert_eq!(arg(Some(3), Some(9)).subscribe_arg(true, "ch"), after_hw);
         assert_eq!(
-            both.subscribe_arg(true, "ch"),
-            format!("DMSEQ1;{:016x};ch", 10)
-        );
-        let ahead = ResumeState {
-            base_from: Some(42),
-            high_water: Some(9),
-        };
-        assert_eq!(
-            ahead.subscribe_arg(true, "ch"),
-            format!("DMSEQ1;{:016x};ch", 42)
+            arg(Some(42), Some(9)).subscribe_arg(true, "ch"),
+            wire::subscribe_arg("ch", Some(42))
         );
     }
 

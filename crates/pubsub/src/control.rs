@@ -1,31 +1,14 @@
-//! Control frames of the routed TCP tier (§IV of the paper).
-//!
-//! Dynamoth's lazy reconfiguration needs two in-band notifications, both
-//! carried as ordinary publications so the brokers stay unmodified:
-//!
-//! - **`<switch to H>`** ([`ControlFrame::Switch`]): published by the
-//!   *old* broker's dispatcher sidecar on the migrated channel itself,
-//!   telling the channel's still-connected local subscribers where the
-//!   channel now lives.
-//! - **`MOVED`** ([`ControlFrame::Moved`]): published on the stale
-//!   *publisher's* private control channel (derived from the wire-id
-//!   origin of the wrong-server publication it just sent), telling it to
-//!   update its local plan. This is the Redis-Cluster-style wrong-server
-//!   reply, done over pub/sub because the broker cannot speak for us.
-//!
-//! Frames are a line-oriented text format prefixed with `DMCTL1;`;
-//! anything that does not parse is treated as application payload and
-//! delivered untouched, so applications whose payloads merely resemble
-//! control frames lose nothing.
+//! Control frames of the routed TCP tier (§IV of the paper): the
+//! `<switch>` and `MOVED` reconfiguration notifications, the live
+//! balancer's plan installs and its brokers' load reports. Their bytes
+//! live in the crate's one wire module; `docs/PROTOCOL.md` lays them out.
 
 use crate::channel::Channel;
-use crate::ids::{PlanId, ServerId};
-use crate::load::BrokerLoadReport;
-use crate::plan::ChannelMapping;
 
-const MAGIC: &str = "DMCTL1";
-const REPORT_MAGIC: &str = "DMLLA1";
-const INSTALL_MAGIC: &str = "DMINST1";
+pub use crate::wire::{
+    control_channel, decode_report, encode_report, install_channel, is_control_channel,
+    lla_channel, ControlFrame, InstallFrame, Quarantine,
+};
 
 /// Derives the plan/ring key of a channel *name*. Stable across
 /// processes (FNV-1a), so every router and sidecar agrees on the key —
@@ -42,512 +25,9 @@ pub fn channel_id_of(name: &str) -> Channel {
     Channel(h)
 }
 
-/// The private control channel of the client with wire-id `origin`.
-/// Sidecars publish [`ControlFrame::Moved`] here; the routed client
-/// subscribes to it on every broker it connects to.
-pub fn control_channel(origin: u64) -> String {
-    format!("__dmc.{origin:016x}")
-}
-
-/// `true` if `name` is a control channel (these never route through
-/// plans and are invisible to application traffic accounting).
-pub fn is_control_channel(name: &str) -> bool {
-    name.starts_with("__dmc.")
-}
-
-/// The channel on which broker `broker` (by directory index) publishes
-/// its periodic [`BrokerLoadReport`]s; the live balancer subscribes to
-/// it directly on that broker.
-pub fn lla_channel(broker: usize) -> String {
-    format!("__dmc.lla.{broker:04x}")
-}
-
-/// The channel on which broker `broker`'s dispatcher sidecar receives
-/// plan-delta installs ([`InstallFrame`]) from the live balancer.
-pub fn install_channel(broker: usize) -> String {
-    format!("__dmc.inst.{broker:04x}")
-}
-
-/// A broker the balancer has declared dead, together with the death
-/// count ("incarnation") it is on. Control and install frames carry the
-/// current quarantine list so routers learn about whole-broker failures
-/// from any surviving sidecar, without waiting for their own probes.
-/// The incarnation lets receivers deduplicate death announcements: a
-/// router acts on `(broker, incarnation)` at most once, and a later
-/// re-report by the broker (it came back) starts a new incarnation with
-/// a fresh sequence space — which is why cross-broker failover is a
-/// [`GapReason::Failover`](crate::GapReason) gap, never a silent splice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Quarantine {
-    /// Directory index of the dead broker.
-    pub broker: usize,
-    /// How many times it has been declared dead (starts at 1).
-    pub incarnation: u64,
-}
-
-/// `-` when empty, else `broker.incarnation` (decimal.hex) joined by
-/// commas: the quarantine field of `DMCTL1`/`DMINST1` frames.
-fn encode_quarantine(list: &[Quarantine]) -> String {
-    if list.is_empty() {
-        return "-".to_owned();
-    }
-    let entries: Vec<String> = list
-        .iter()
-        .map(|q| format!("{}.{:x}", q.broker, q.incarnation))
-        .collect();
-    entries.join(",")
-}
-
-fn decode_quarantine(text: &str) -> Option<Vec<Quarantine>> {
-    if text == "-" {
-        return Some(Vec::new());
-    }
-    text.split(',')
-        .map(|entry| {
-            let (broker, incarnation) = entry.split_once('.')?;
-            Some(Quarantine {
-                broker: broker.parse().ok()?,
-                incarnation: u64::from_str_radix(incarnation, 16).ok()?,
-            })
-        })
-        .collect()
-}
-
-/// A reconfiguration notification (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlFrame {
-    /// "This channel moved; re-point your subscription."
-    Switch {
-        /// The migrated channel's name.
-        channel: String,
-        /// Where it lives now.
-        mapping: ChannelMapping,
-        /// Version of the plan that moved it.
-        plan: PlanId,
-        /// Brokers currently believed dead (may be empty).
-        quarantine: Vec<Quarantine>,
-    },
-    /// "You published to the wrong server; update your local plan."
-    Moved {
-        /// The migrated channel's name.
-        channel: String,
-        /// Where it lives now.
-        mapping: ChannelMapping,
-        /// Version of the plan that moved it.
-        plan: PlanId,
-        /// Brokers currently believed dead (may be empty).
-        quarantine: Vec<Quarantine>,
-    },
-}
-
-impl ControlFrame {
-    /// The channel name the frame is about.
-    pub fn channel(&self) -> &str {
-        match self {
-            ControlFrame::Switch { channel, .. } | ControlFrame::Moved { channel, .. } => channel,
-        }
-    }
-
-    /// The new mapping it announces.
-    pub fn mapping(&self) -> &ChannelMapping {
-        match self {
-            ControlFrame::Switch { mapping, .. } | ControlFrame::Moved { mapping, .. } => mapping,
-        }
-    }
-
-    /// The plan version it carries.
-    pub fn plan(&self) -> PlanId {
-        match self {
-            ControlFrame::Switch { plan, .. } | ControlFrame::Moved { plan, .. } => *plan,
-        }
-    }
-
-    /// The quarantine list it carries (brokers believed dead).
-    pub fn quarantine(&self) -> &[Quarantine] {
-        match self {
-            ControlFrame::Switch { quarantine, .. } | ControlFrame::Moved { quarantine, .. } => {
-                quarantine
-            }
-        }
-    }
-
-    /// Serializes to payload bytes:
-    /// `DMCTL1;<kind>;<plan:016x>;<mapping>;<quarantine>;<channel-name>`.
-    /// The name comes last and unescaped — it may contain `;`.
-    pub fn encode(&self) -> Vec<u8> {
-        let (kind, channel, mapping, plan, quarantine) = match self {
-            ControlFrame::Switch {
-                channel,
-                mapping,
-                plan,
-                quarantine,
-            } => ("switch", channel, mapping, plan, quarantine),
-            ControlFrame::Moved {
-                channel,
-                mapping,
-                plan,
-                quarantine,
-            } => ("moved", channel, mapping, plan, quarantine),
-        };
-        format!(
-            "{MAGIC};{kind};{:016x};{};{};{channel}",
-            plan.0,
-            encode_mapping(mapping),
-            encode_quarantine(quarantine)
-        )
-        .into_bytes()
-    }
-
-    /// Parses payload bytes; `None` for anything that is not a valid
-    /// control frame (then it is application payload).
-    pub fn decode(payload: &[u8]) -> Option<ControlFrame> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut parts = text.splitn(6, ';');
-        if parts.next()? != MAGIC {
-            return None;
-        }
-        let kind = parts.next()?;
-        let plan = PlanId(u64::from_str_radix(parts.next()?, 16).ok()?);
-        let mapping = decode_mapping(parts.next()?)?;
-        let quarantine = decode_quarantine(parts.next()?)?;
-        let channel = parts.next()?.to_owned();
-        match kind {
-            "switch" => Some(ControlFrame::Switch {
-                channel,
-                mapping,
-                plan,
-                quarantine,
-            }),
-            "moved" => Some(ControlFrame::Moved {
-                channel,
-                mapping,
-                plan,
-                quarantine,
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// Serializes a [`BrokerLoadReport`] for the `DMLLA1` report channel:
-/// a header line `DMLLA1;<tick>;<egress>;<ingress>;<sent>;<nchannels>`
-/// (all hex), then per channel one numeric line
-/// `<namelen>;<pubs>;<dels>;<bytes-in>;<bytes-out>;<subs>` followed by
-/// exactly `namelen` bytes of the raw channel name — a length prefix
-/// instead of escaping, since names may contain `;` and `\n`.
-pub fn encode_report(report: &BrokerLoadReport) -> Vec<u8> {
-    let mut out = format!(
-        "{REPORT_MAGIC};{:x};{:x};{:x};{:x};{:x}\n",
-        report.tick,
-        report.egress_bytes,
-        report.ingress_bytes,
-        report.sent_messages,
-        report.channels.len()
-    )
-    .into_bytes();
-    for (name, t) in &report.channels {
-        out.extend_from_slice(
-            format!(
-                "{:x};{:x};{:x};{:x};{:x};{:x}\n",
-                name.len(),
-                t.publications,
-                t.deliveries,
-                t.bytes_in,
-                t.bytes_out,
-                t.subscribers
-            )
-            .as_bytes(),
-        );
-        out.extend_from_slice(name.as_bytes());
-    }
-    out
-}
-
-/// Parses a `DMLLA1` report payload; `None` for anything malformed.
-pub fn decode_report(payload: &[u8]) -> Option<BrokerLoadReport> {
-    fn take_line(rest: &mut &[u8]) -> Option<String> {
-        let nl = rest.iter().position(|&b| b == b'\n')?;
-        let line = std::str::from_utf8(&rest[..nl]).ok()?.to_owned();
-        *rest = &rest[nl + 1..];
-        Some(line)
-    }
-    fn hex_fields<const N: usize>(line: &str) -> Option<[u64; N]> {
-        let mut out = [0u64; N];
-        let mut parts = line.split(';');
-        for slot in &mut out {
-            *slot = u64::from_str_radix(parts.next()?, 16).ok()?;
-        }
-        parts.next().is_none().then_some(out)
-    }
-
-    let mut rest = payload;
-    let header = take_line(&mut rest)?;
-    let header = header.strip_prefix(REPORT_MAGIC)?.strip_prefix(';')?;
-    let [tick, egress_bytes, ingress_bytes, sent_messages, nchannels] = hex_fields(header)?;
-    let mut channels = Vec::with_capacity(nchannels.min(4096) as usize);
-    for _ in 0..nchannels {
-        let line = take_line(&mut rest)?;
-        let [namelen, publications, deliveries, bytes_in, bytes_out, subscribers] =
-            hex_fields(&line)?;
-        let namelen = namelen as usize;
-        if rest.len() < namelen {
-            return None;
-        }
-        let name = std::str::from_utf8(&rest[..namelen]).ok()?.to_owned();
-        rest = &rest[namelen..];
-        channels.push((
-            name,
-            crate::balance::metrics::ChannelTick {
-                publications,
-                deliveries,
-                bytes_in,
-                bytes_out,
-                publishers: 0,
-                subscribers: u32::try_from(subscribers).ok()?,
-            },
-        ));
-    }
-    rest.is_empty().then_some(BrokerLoadReport {
-        tick,
-        egress_bytes,
-        ingress_bytes,
-        sent_messages,
-        channels,
-    })
-}
-
-/// One plan delta pushed by the live balancer to a dispatcher sidecar's
-/// install channel: "channel `channel` moves from `old` to `new` under
-/// plan version `plan`". The sidecar turns it into the same
-/// dual-mapping forwarding window a local
-/// [`DispatcherSidecar::install`](crate::DispatcherSidecar::install)
-/// call would.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstallFrame {
-    /// Version of the plan that performs the move.
-    pub plan: PlanId,
-    /// The migrating channel's name.
-    pub channel: String,
-    /// Mapping before the move.
-    pub old: ChannelMapping,
-    /// Mapping after the move.
-    pub new: ChannelMapping,
-    /// Brokers believed dead when the plan was computed. Non-empty
-    /// marks this as an **emergency failover install**: every surviving
-    /// sidecar applies it (not just those in `old`/`new`), so stray
-    /// publications land on a broker that knows where to forward them.
-    pub quarantine: Vec<Quarantine>,
-}
-
-impl InstallFrame {
-    /// Serializes to payload bytes:
-    /// `DMINST1;<plan:016x>;<old-mapping>;<new-mapping>;<quarantine>;<channel-name>`
-    /// (name last and unescaped, like [`ControlFrame::encode`]).
-    pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "{INSTALL_MAGIC};{:016x};{};{};{};{}",
-            self.plan.0,
-            encode_mapping(&self.old),
-            encode_mapping(&self.new),
-            encode_quarantine(&self.quarantine),
-            self.channel
-        )
-        .into_bytes()
-    }
-
-    /// Parses payload bytes; `None` for anything that is not a valid
-    /// install frame.
-    pub fn decode(payload: &[u8]) -> Option<InstallFrame> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut parts = text.splitn(6, ';');
-        if parts.next()? != INSTALL_MAGIC {
-            return None;
-        }
-        let plan = PlanId(u64::from_str_radix(parts.next()?, 16).ok()?);
-        let old = decode_mapping(parts.next()?)?;
-        let new = decode_mapping(parts.next()?)?;
-        let quarantine = decode_quarantine(parts.next()?)?;
-        let channel = parts.next()?.to_owned();
-        Some(InstallFrame {
-            plan,
-            channel,
-            old,
-            new,
-            quarantine,
-        })
-    }
-}
-
-/// `single:3`, `allsub:1,2` or `allpub:0,2` — servers by directory
-/// index.
-fn encode_mapping(mapping: &ChannelMapping) -> String {
-    let (mode, servers) = match mapping {
-        ChannelMapping::Single(s) => return format!("single:{}", s.index()),
-        ChannelMapping::AllSubscribers(v) => ("allsub", v),
-        ChannelMapping::AllPublishers(v) => ("allpub", v),
-    };
-    let idxs: Vec<String> = servers.iter().map(|s| s.index().to_string()).collect();
-    format!("{mode}:{}", idxs.join(","))
-}
-
-/// Rejects degenerate replicated mappings (`allsub:`/`allpub:` with
-/// fewer than two members) so a corrupt or hostile control frame can
-/// never smuggle an empty member list into a [`Plan`] — downstream
-/// routing treats such mappings as unroutable rather than panicking,
-/// but they should not be constructible over the wire at all.
-fn decode_mapping(text: &str) -> Option<ChannelMapping> {
-    let (mode, rest) = text.split_once(':')?;
-    let servers: Option<Vec<ServerId>> = rest
-        .split(',')
-        .map(|i| i.parse::<usize>().ok().map(ServerId::from_index))
-        .collect();
-    let servers = servers?;
-    match (mode, servers.len()) {
-        ("single", 1) => Some(ChannelMapping::Single(servers[0])),
-        ("allsub", n) if n >= 2 => Some(ChannelMapping::AllSubscribers(servers)),
-        ("allpub", n) if n >= 2 => Some(ChannelMapping::AllPublishers(servers)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn s(i: usize) -> ServerId {
-        ServerId::from_index(i)
-    }
-
-    #[test]
-    fn decode_rejects_empty_and_singleton_replicated_mappings() {
-        // A hostile DMCTL1/DMINST1 frame with an empty member list must
-        // die at the decoder, long before Plan::try_set or routing.
-        for bad in [
-            "allsub:",
-            "allpub:",
-            "allsub:1",
-            "allpub:0",
-            "single:",
-            "single:1,2",
-        ] {
-            assert_eq!(decode_mapping(bad), None, "{bad:?} should not decode");
-        }
-        for (frame, label) in [
-            (
-                b"DMCTL1;switch;0000000000000001;allsub:;-;c".as_slice(),
-                "switch",
-            ),
-            (
-                b"DMCTL1;moved;0000000000000001;allpub:;-;c".as_slice(),
-                "moved",
-            ),
-            (
-                b"DMINST1;0000000000000002;allsub:;single:0;-;c".as_slice(),
-                "install-old",
-            ),
-            (
-                b"DMINST1;0000000000000002;single:0;allpub:;-;c".as_slice(),
-                "install-new",
-            ),
-        ] {
-            assert!(
-                ControlFrame::decode(frame).is_none() && InstallFrame::decode(frame).is_none(),
-                "{label} frame with empty mapping should not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn frames_roundtrip() {
-        let frames = [
-            ControlFrame::Switch {
-                channel: "tile_3_4".into(),
-                mapping: ChannelMapping::Single(s(2)),
-                plan: PlanId(7),
-                quarantine: Vec::new(),
-            },
-            ControlFrame::Moved {
-                channel: "weird;name;with;semicolons".into(),
-                mapping: ChannelMapping::AllSubscribers(vec![s(0), s(2)]),
-                plan: PlanId(u64::MAX),
-                quarantine: vec![Quarantine {
-                    broker: 3,
-                    incarnation: 0x1f,
-                }],
-            },
-            ControlFrame::Switch {
-                channel: "fan_in".into(),
-                mapping: ChannelMapping::AllPublishers(vec![s(1), s(2), s(3)]),
-                plan: PlanId(0),
-                quarantine: vec![
-                    Quarantine {
-                        broker: 0,
-                        incarnation: 1,
-                    },
-                    Quarantine {
-                        broker: 7,
-                        incarnation: 2,
-                    },
-                ],
-            },
-        ];
-        for frame in frames {
-            let bytes = frame.encode();
-            assert_eq!(ControlFrame::decode(&bytes), Some(frame));
-        }
-    }
-
-    #[test]
-    fn junk_is_not_a_frame() {
-        for junk in [
-            &b"hello"[..],
-            b"",
-            b"DMCTL1;",
-            b"DMCTL1;switch;zz;single:0;-;c",
-            b"DMCTL1;switch;0000000000000007;single:x;-;c",
-            b"DMCTL1;bogus;0000000000000007;single:0;-;c",
-            b"DMCTL2;switch;0000000000000007;single:0;-;c",
-            // Degenerate replicated mappings are rejected, preserving
-            // the plan invariant on the wire.
-            b"DMCTL1;switch;0000000000000007;allsub:1;-;c",
-            // Malformed or missing quarantine field (the old five-field
-            // format lands here and is rejected, not misread).
-            b"DMCTL1;switch;0000000000000007;single:0;c",
-            b"DMCTL1;switch;0000000000000007;single:0;3;c",
-            b"DMCTL1;switch;0000000000000007;single:0;x.y;c",
-            b"DMCTL1;switch;0000000000000007;single:0;,;c",
-            &[0xff, 0xfe, 0x00][..],
-        ] {
-            assert_eq!(ControlFrame::decode(junk), None, "{junk:?}");
-        }
-    }
-
-    #[test]
-    fn quarantine_field_roundtrips() {
-        for list in [
-            Vec::new(),
-            vec![Quarantine {
-                broker: 0,
-                incarnation: 1,
-            }],
-            vec![
-                Quarantine {
-                    broker: 12,
-                    incarnation: 0xdead,
-                },
-                Quarantine {
-                    broker: 3,
-                    incarnation: 1,
-                },
-            ],
-        ] {
-            let text = encode_quarantine(&list);
-            assert_eq!(decode_quarantine(&text), Some(list), "{text:?}");
-        }
-        for bad in ["", "3", "3.", ".1", "a.b", "1.1,", "-,-"] {
-            assert_eq!(decode_quarantine(bad), None, "{bad:?} should not decode");
-        }
-    }
 
     #[test]
     fn channel_ids_are_stable_and_name_sensitive() {
@@ -556,116 +36,5 @@ mod tests {
         // Pinned value: routers and sidecars in different processes must
         // agree forever.
         assert_eq!(channel_id_of(""), Channel(0xcbf2_9ce4_8422_2325));
-    }
-
-    #[test]
-    fn control_channel_names() {
-        assert_eq!(control_channel(0xAB), "__dmc.00000000000000ab");
-        assert!(is_control_channel(&control_channel(7)));
-        assert!(!is_control_channel("tile_7"));
-        assert!(is_control_channel(&lla_channel(3)));
-        assert!(is_control_channel(&install_channel(3)));
-        assert_ne!(lla_channel(3), install_channel(3));
-        assert_ne!(lla_channel(3), lla_channel(4));
-    }
-
-    #[test]
-    fn load_reports_roundtrip() {
-        use crate::balance::metrics::ChannelTick;
-        let report = BrokerLoadReport {
-            tick: 42,
-            egress_bytes: 1 << 40,
-            ingress_bytes: 12345,
-            sent_messages: 678,
-            channels: vec![
-                (
-                    "plain".into(),
-                    ChannelTick {
-                        publications: 3,
-                        deliveries: 9,
-                        bytes_in: 300,
-                        bytes_out: 900,
-                        publishers: 0,
-                        subscribers: 3,
-                    },
-                ),
-                (
-                    "evil;name\nwith;delimiters".into(),
-                    ChannelTick {
-                        publications: 1,
-                        deliveries: 0,
-                        bytes_in: 7,
-                        bytes_out: 0,
-                        publishers: 0,
-                        subscribers: 0,
-                    },
-                ),
-            ],
-        };
-        assert_eq!(decode_report(&encode_report(&report)), Some(report));
-        // Empty reports (idle broker heartbeat) work too.
-        let idle = BrokerLoadReport {
-            tick: 0,
-            egress_bytes: 0,
-            ingress_bytes: 0,
-            sent_messages: 0,
-            channels: Vec::new(),
-        };
-        assert_eq!(decode_report(&encode_report(&idle)), Some(idle));
-    }
-
-    #[test]
-    fn junk_is_not_a_report() {
-        for junk in [
-            &b""[..],
-            b"hello",
-            b"DMLLA1;1;2;3;4;5",        // missing newline
-            b"DMLLA1;1;2;3;4;1\n",      // promised channel missing
-            b"DMLLA1;1;2;3;4;0\nextra", // trailing garbage
-            b"DMLLA1;zz;2;3;4;0\n",
-            b"DMCTL1;1;2;3;4;0\n",
-            &[0xff, 0xfe, 0x0a][..],
-        ] {
-            assert_eq!(decode_report(junk), None, "{junk:?}");
-        }
-    }
-
-    #[test]
-    fn install_frames_roundtrip() {
-        let frame = InstallFrame {
-            plan: PlanId(9),
-            channel: "tile;with;semis".into(),
-            old: ChannelMapping::Single(s(0)),
-            new: ChannelMapping::AllSubscribers(vec![s(1), s(2)]),
-            quarantine: vec![Quarantine {
-                broker: 0,
-                incarnation: 2,
-            }],
-        };
-        let bytes = frame.encode();
-        assert_eq!(InstallFrame::decode(&bytes), Some(frame));
-        // An install frame is not a control frame and vice versa.
-        assert_eq!(ControlFrame::decode(&bytes), None);
-        let ctl = ControlFrame::Switch {
-            channel: "c".into(),
-            mapping: ChannelMapping::Single(s(1)),
-            plan: PlanId(1),
-            quarantine: Vec::new(),
-        };
-        assert_eq!(InstallFrame::decode(&ctl.encode()), None);
-    }
-
-    #[test]
-    fn junk_is_not_an_install_frame() {
-        for junk in [
-            &b""[..],
-            b"DMINST1;0000000000000001;single:0;-;c",
-            b"DMINST1;0000000000000001;single:0;allsub:1;-;c",
-            b"DMINST1;zz;single:0;single:1;-;c",
-            // Old five-field format: no quarantine field.
-            b"DMINST1;0000000000000001;single:0;single:1;c",
-        ] {
-            assert_eq!(InstallFrame::decode(junk), None, "{junk:?}");
-        }
     }
 }

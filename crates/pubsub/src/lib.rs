@@ -44,11 +44,11 @@ mod reactor;
 pub mod resp;
 mod rng;
 pub mod router;
-mod seq;
 mod server;
 mod shard;
 mod timer;
 pub mod timing;
+mod wire;
 
 pub use balance::{bounded::BoundedPlacer, CapacityEstimator, Tuning};
 pub use balancer::{

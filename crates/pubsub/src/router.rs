@@ -763,26 +763,10 @@ impl Core {
         }
         // Re-point the subscription: subscribe on the new target set before
         // unsubscribing brokers that fell out of it.
-        let current: BTreeSet<usize> =
-            r.subscribed_on.get(&channel).cloned().unwrap_or_else(|| {
-                // Subscribed before any plan entry existed: the ring told us
-                // where.
-                let mut set = BTreeSet::new();
-                set.insert(self.ring.server_for(channel_id_of(&channel)).index());
-                set
-            });
-        let wanted: BTreeSet<usize> = match &mapping {
-            ChannelMapping::Single(s) => [s.index()].into(),
-            ChannelMapping::AllSubscribers(v) => v.iter().map(|s| s.index()).collect(),
-            ChannelMapping::AllPublishers(v) => {
-                if let Some(&keep) = current.iter().find(|i| v.iter().any(|s| s.index() == **i)) {
-                    [keep].into()
-                } else {
-                    let pick = r.rng.next_below(v.len() as u64) as usize;
-                    [v[pick].index()].into()
-                }
-            }
-        };
+        let current = r.subscribed_on.get(&channel).cloned().unwrap_or_default();
+        let wanted: BTreeSet<usize> = subscribe_targets(&mut r, &channel, &mapping)
+            .into_iter()
+            .collect();
         // Brokers entering the target set are subscribed *from sequence 0*:
         // the channel's sequence space on its new home starts at the
         // migration, so the replay is exactly the post-migration suffix —

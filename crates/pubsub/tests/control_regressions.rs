@@ -20,7 +20,13 @@
 //!    directory — `DMINST1` frames are payload-space input — and the
 //!    next publication on that channel indexed past the directory when
 //!    forwarding, killing the pump thread. Such installs are now
-//!    dropped, as `RoutedClient` already drops such control frames.
+//!    dropped, as `RoutedClient` already drops such control frames. An
+//!    index past `u32::MAX` used to get past that check too: `ServerId`
+//!    keeps 32 bits, so `4294967296` read as broker 0. It no longer
+//!    reads as a frame at all.
+//! 5. The same truncation let a `<switch>` naming `2^32 + i` re-point a
+//!    router's channel to broker `i`. Such bytes are application
+//!    payload now, delivered untouched.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -200,6 +206,12 @@ fn install_naming_a_broker_outside_the_directory_is_dropped() {
             quarantine: Vec::new(),
         };
         outsider.publish(&install_channel(0), &install("hot", 5).encode());
+        // No writer writes an index a `ServerId` truncates; splice one in.
+        // Pre-fix it read as broker 0 and "hot2" was installed.
+        let aliased = String::from_utf8(install("hot2", 7).encode())
+            .expect("ASCII frame")
+            .replace("single:7;", "single:4294967296;");
+        outsider.publish(&install_channel(0), aliased.as_bytes());
         outsider.publish(&install_channel(0), &install("ok", 0).encode());
         wait_until("barrier install", Duration::from_secs(10), || {
             broker.channel_subscribers("ok") >= 1
@@ -223,6 +235,7 @@ fn install_naming_a_broker_outside_the_directory_is_dropped() {
             || sidecar.stats().active_channels == 2 && broker.channel_subscribers("later") >= 1,
         );
         assert_eq!(broker.channel_subscribers("hot"), 0);
+        assert_eq!(broker.channel_subscribers("hot2"), 0);
 
         outsider.shutdown();
         sidecar.shutdown();
@@ -342,6 +355,74 @@ fn ring_fallback_entries_never_shadow_control_frames() {
 
         helper.shutdown();
         publisher.shutdown();
+        sub.shutdown();
+        for broker in brokers {
+            broker.shutdown();
+        }
+    });
+}
+
+/// A `<switch>` naming broker `2^32 + other` used to read as `other`, get
+/// past the directory check and re-point the channel. No writer writes
+/// such a frame, so it must be application payload: delivered in order
+/// ahead of the barrier, with the plan and the counters untouched.
+#[test]
+fn switch_naming_a_truncated_broker_index_is_payload() {
+    with_deadline(60, || {
+        let brokers: Vec<TcpBroker> = (0..2)
+            .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
+            .collect();
+        let directory: Vec<SocketAddr> = brokers.iter().map(|b| b.local_addr()).collect();
+        let sub = RoutedClient::connect(
+            directory.clone(),
+            RouterConfig {
+                seed: Some(seed(0xC0FF_EE00)),
+                ..RouterConfig::default()
+            },
+        );
+
+        const CH: &str = "aliased";
+        let ring: Vec<ServerId> = (0..2).map(sid).collect();
+        let home = Ring::new(&ring, DEFAULT_VNODES)
+            .server_for(channel_id_of(CH))
+            .index();
+        let other = 1 - home;
+        sub.subscribe(CH);
+        wait_until("ring-homed subscription", Duration::from_secs(10), || {
+            brokers[home].channel_subscribers(CH) >= 1
+        });
+
+        let switch = ControlFrame::Switch {
+            channel: CH.to_owned(),
+            mapping: ChannelMapping::Single(sid(other)),
+            plan: PlanId(1),
+            quarantine: Vec::new(),
+        };
+        let hostile = String::from_utf8(switch.encode())
+            .expect("ASCII frame")
+            .replace(
+                &format!("single:{other};"),
+                &format!("single:{};", (1u64 << 32) + other as u64),
+            );
+        let helper = TcpPubSubClient::connect_addr(directory[home], ClientConfig::default());
+        helper.publish(CH, hostile.as_bytes());
+        helper.publish(CH, b"barrier");
+        let mut delivered = Vec::new();
+        wait_until("barrier delivery", Duration::from_secs(10), || {
+            while let Some(msg) = sub.try_message() {
+                delivered.push(msg.payload);
+            }
+            delivered.last().is_some_and(|p| p == b"barrier")
+        });
+
+        assert_eq!(delivered, [hostile.into_bytes(), b"barrier".to_vec()]);
+        assert_eq!(
+            sub.local_mapping(CH),
+            Some((ChannelMapping::Single(sid(home)), PlanId(0)))
+        );
+        assert_eq!(sub.stats().switches_applied, 0);
+
+        helper.shutdown();
         sub.shutdown();
         for broker in brokers {
             broker.shutdown();

@@ -78,16 +78,16 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dynamoth_sim::SimRng;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 
 use crate::resp::{self, Value};
-use crate::rng::SplitMix64;
 use crate::timing::Timing;
 use crate::wire::{self, Delivery};
 
@@ -276,6 +276,17 @@ pub struct Message {
     pub seq: Option<u64>,
 }
 
+/// A generator seeded with `seed`, or from the process's hasher keys when
+/// the caller asked for no reproducibility.
+pub(crate) fn seeded_rng(seed: Option<u64>) -> SimRng {
+    SimRng::new(seed.unwrap_or_else(|| {
+        use std::hash::{BuildHasher, Hasher};
+        let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+        h.write_u64(u64::from(std::process::id()));
+        h.finish()
+    }))
+}
+
 /// Queued publications (pending + unacknowledged) per connection before
 /// the oldest is dropped with [`DropCause::QueueFull`].
 const MAX_PENDING_PUBLISHES: usize = 4096;
@@ -436,11 +447,7 @@ enum Cmd {
     Unsubscribe(String),
     Publish {
         channel: String,
-        body: Vec<u8>,
-    },
-    PublishRaw {
-        channel: String,
-        payload: Vec<u8>,
+        framed: Vec<u8>,
     },
     /// Drain every queued/unacknowledged publication and hand it to the
     /// caller (failover rescue; see [`TcpPubSubClient::take_unsent`]).
@@ -480,11 +487,12 @@ struct ClientShared {
     /// Readies the worker's poll.
     waker: Waker,
     /// Set while the worker sleeps with nothing queued: the next
-    /// publication kicks it (see [`ClientShared::publication`]).
+    /// publication kicks it (see [`TcpPubSubClient::publish_framed`]).
     asleep: AtomicBool,
     /// Publications pushed and not yet through a flush, whether still in
     /// `cmds` or in the worker's own queue; the worker subtracts what it
-    /// absorbed at each flush. Sizes the batches `publication` kicks for.
+    /// absorbed at each flush. Sizes the batches `publish_framed` kicks
+    /// for.
     unsent: AtomicUsize,
     /// `true` once the worker thread has exited (gave up or shut down);
     /// after that, commands are never processed again.
@@ -500,23 +508,6 @@ impl ClientShared {
     fn command(&self, cmd: Cmd) {
         self.cmds.lock().push_back(cmd);
         self.kick();
-    }
-
-    /// Queues a publication; kicks the worker when it completes a batch
-    /// or when the worker sleeps with nothing queued (which then arms
-    /// its linger).
-    fn publication(&self, cmd: Cmd) {
-        // Counted before it is visible, so the worker never subtracts it
-        // first.
-        let full = (self.unsent.fetch_add(1, Ordering::SeqCst) + 1).is_multiple_of(FLUSH_BATCH);
-        self.cmds.lock().push_back(cmd);
-        // Pushed first, read second: a worker that marked itself asleep
-        // has either seen this push in its re-check or left the mark set.
-        let asleep =
-            self.asleep.load(Ordering::SeqCst) && self.asleep.swap(false, Ordering::SeqCst);
-        if full || asleep {
-            self.kick();
-        }
     }
 
     fn kick(&self) {
@@ -547,6 +538,8 @@ pub struct TcpPubSubClient {
     messages: Mutex<mpsc::Receiver<Message>>,
     events: Mutex<mpsc::Receiver<ClientEvent>>,
     origin: u64,
+    /// The `seq` of the next wire id [`Self::publish`] frames.
+    seq: AtomicU64,
 }
 
 impl TcpPubSubClient {
@@ -589,20 +582,19 @@ impl TcpPubSubClient {
         let (messages, msg_rx) = mpsc::channel();
         let (events, event_rx) = mpsc::channel();
         let mut client =
-            TcpPubSubClient::connect_sink(addr, config, |_| QueueSink { messages, events });
+            TcpPubSubClient::connect_sink(addr, config, QueueSink { messages, events });
         client.messages = Mutex::new(msg_rx);
         client.events = Mutex::new(event_rx);
         client
     }
 
-    /// Starts a client whose worker hands everything it produces to the
-    /// sink `make_sink` builds from the client's origin, instead of the
-    /// client's own queues: [`Self::try_message`] and [`Self::try_event`]
-    /// of such a client never return anything.
-    pub(crate) fn connect_sink<S: Sink + 'static>(
+    /// Starts a client whose worker hands everything it produces to
+    /// `sink` instead of the client's own queues: [`Self::try_message`]
+    /// and [`Self::try_event`] of such a client never return anything.
+    pub(crate) fn connect_sink(
         addr: SocketAddr,
         config: ClientConfig,
-        make_sink: impl FnOnce(u64) -> S,
+        sink: impl Sink + 'static,
     ) -> TcpPubSubClient {
         let poll = Poll::new().expect("create the dm-client poll");
         let waker = Waker::new(poll.registry(), WAKE).expect("create the dm-client waker");
@@ -615,19 +607,14 @@ impl TcpPubSubClient {
             exited: AtomicBool::new(false),
             stranded: Mutex::new(Vec::new()),
         });
-        let mut rng = match config.seed {
-            Some(seed) => SplitMix64::new(seed),
-            None => SplitMix64::from_entropy(),
-        };
+        let mut rng = seeded_rng(config.seed);
         let origin = rng.next_u64();
         let worker = Worker {
             addr,
             cfg: config,
             shared: Arc::clone(&shared),
-            sink: Box::new(make_sink(origin)),
+            sink: Box::new(sink),
             rng,
-            origin,
-            next_seq: 0,
             desired: BTreeMap::new(),
             pending: VecDeque::new(),
             unacked: VecDeque::new(),
@@ -649,12 +636,15 @@ impl TcpPubSubClient {
             messages: Mutex::new(mpsc::channel().1),
             events: Mutex::new(mpsc::channel().1),
             origin,
+            seq: AtomicU64::new(0),
         }
     }
 
     /// This client's random 64-bit origin — the first half of every
-    /// wire id it frames. The routed tier derives per-client control
-    /// channel names from it.
+    /// wire id [`Self::publish`] frames. A sidecar sends its `MOVED`
+    /// frames to the control channel named after it; a
+    /// [`RoutedClient`](crate::RoutedClient) frames under an origin of
+    /// its own instead, the same on every broker it publishes to.
     pub fn origin(&self) -> u64 {
         self.origin
     }
@@ -693,9 +683,11 @@ impl TcpPubSubClient {
     /// acknowledged, and eventually dropped (with a
     /// [`ClientEvent::Dropped`]) if the broker never accepts it.
     pub fn publish(&self, channel: &str, body: &[u8]) {
-        let channel = channel.to_owned();
-        let body = body.to_vec();
-        self.shared.publication(Cmd::Publish { channel, body });
+        let id = MessageId {
+            origin: self.origin,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+        };
+        self.publish_framed(channel, frame_payload(id, body));
     }
 
     /// Publishes an already-framed payload verbatim — no new wire id is
@@ -704,10 +696,28 @@ impl TcpPubSubClient {
     /// re-publishing a wrong-server publication keeps the original id,
     /// so receive-side dedup windows still suppress duplicates.
     pub fn publish_raw(&self, channel: &str, payload: &[u8]) {
+        self.publish_framed(channel, payload.to_vec());
+    }
+
+    /// Queues `framed` for publication verbatim, taking ownership of the
+    /// bytes; every publication passes here. Kicks the worker when it
+    /// completes a batch or when the worker sleeps with nothing queued
+    /// (which then arms its linger).
+    pub(crate) fn publish_framed(&self, channel: &str, framed: Vec<u8>) {
+        let shared = &self.shared;
+        // Counted before it is visible, so the worker never subtracts it
+        // first.
+        let full = (shared.unsent.fetch_add(1, Ordering::SeqCst) + 1).is_multiple_of(FLUSH_BATCH);
         let channel = channel.to_owned();
-        let payload = payload.to_vec();
-        self.shared
-            .publication(Cmd::PublishRaw { channel, payload });
+        let cmd = Cmd::Publish { channel, framed };
+        shared.cmds.lock().push_back(cmd);
+        // Pushed first, read second: a worker that marked itself asleep
+        // has either seen this push in its re-check or left the mark set.
+        let asleep =
+            shared.asleep.load(Ordering::SeqCst) && shared.asleep.swap(false, Ordering::SeqCst);
+        if full || asleep {
+            shared.kick();
+        }
     }
 
     /// Drains every publication still queued or unacknowledged and
@@ -805,9 +815,7 @@ struct Worker {
     cfg: ClientConfig,
     shared: Arc<ClientShared>,
     sink: Box<dyn Sink>,
-    rng: SplitMix64,
-    origin: u64,
-    next_seq: u64,
+    rng: SimRng,
     desired: BTreeMap<String, ResumeState>,
     pending: VecDeque<PendingPub>,
     unacked: VecDeque<PendingPub>,
@@ -1173,19 +1181,9 @@ impl Worker {
                         resp::encode_command(&[b"UNSUBSCRIBE", channel.as_bytes()], &mut self.out);
                     }
                 }
-                Cmd::Publish { channel, body } => {
+                Cmd::Publish { channel, framed } => {
                     self.absorbed += 1;
-                    let id = MessageId {
-                        origin: self.origin,
-                        seq: self.next_seq,
-                    };
-                    self.next_seq += 1;
-                    let framed = frame_payload(id, &body);
                     self.enqueue_publish(channel, framed);
-                }
-                Cmd::PublishRaw { channel, payload } => {
-                    self.absorbed += 1;
-                    self.enqueue_publish(channel, payload);
                 }
                 Cmd::TakeUnsent(reply) => {
                     // Oldest first: in-flight (unacked) precede queued.

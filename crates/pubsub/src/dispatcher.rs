@@ -403,11 +403,12 @@ impl Pump {
     /// watch (`peer: None`), whose worker feeds the inbox.
     fn connect(&self, peer: Option<usize>) -> TcpPubSubClient {
         let addr = self.directory[peer.unwrap_or(self.me.index())];
-        TcpPubSubClient::connect_sink(addr, self.cfg.client.clone(), |_| PumpSink {
+        let sink = PumpSink {
             peer,
             batch: Vec::new(),
             inbox: self.inbox.clone(),
-        })
+        };
+        TcpPubSubClient::connect_sink(addr, self.cfg.client.clone(), sink)
     }
 
     /// The watch connection, rebuilt in place when a `GaveUp` tore it

@@ -7,9 +7,9 @@
 //! a channel maps to the server owning the first identifier clockwise
 //! from the channel's hash.
 //!
-//! Hashing uses a fixed avalanche mix (SplitMix64 finalizer) rather than
-//! `std`'s `RandomState` so that mappings are stable across processes
-//! and runs.
+//! Hashing uses a fixed avalanche mix (the output step of
+//! [`dynamoth_sim::SimRng`]) rather than `std`'s `RandomState` so that
+//! mappings are stable across processes and runs.
 
 use crate::channel::Channel as ChannelId;
 use crate::ids::ServerId;

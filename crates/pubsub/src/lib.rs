@@ -42,7 +42,6 @@ mod outbox;
 pub mod plan;
 mod reactor;
 pub mod resp;
-mod rng;
 pub mod router;
 mod server;
 mod shard;

@@ -13,9 +13,14 @@
 //!   subscribes everywhere and publishes to one random member,
 //!   `AllPublishers` publishes everywhere and subscribes to one random
 //!   member.
+//! - Every publication is framed once, under the router's own origin,
+//!   whatever the mapping: a replicated fan-out hands the same bytes to
+//!   each member, and a channel that migrates keeps its publisher's
+//!   origin.
 //! - The local plan is updated by the two control frames of the
-//!   dispatcher sidecars: a [`ControlFrame::Moved`] on this client's
-//!   private control channel (it published to the wrong broker), or a
+//!   dispatcher sidecars: a [`ControlFrame::Moved`] on the router's
+//!   control channel `__dmc.<origin>`, which every connection of the
+//!   router subscribes (it published to the wrong broker), or a
 //!   [`ControlFrame::Switch`] on a subscribed channel (the channel
 //!   moved away from a broker it is subscribed on). On a switch the
 //!   client subscribes at the new location immediately but keeps the
@@ -86,30 +91,31 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dynamoth_sim::SimRng;
 use parking_lot::Mutex;
 
 use crate::client::{
-    frame_payload, ClientConfig, ClientEvent, Dedup, GapReason, Message, MessageId, Sink,
-    TcpPubSubClient,
+    frame_payload, seeded_rng, ClientConfig, ClientEvent, Dedup, GapReason, Message, MessageId,
+    Sink, TcpPubSubClient,
 };
 use crate::control::{channel_id_of, control_channel, ControlFrame};
 use crate::hashing::{Ring, DEFAULT_VNODES};
 use crate::ids::{PlanId, ServerId};
 use crate::plan::ChannelMapping;
-use crate::rng::SplitMix64;
 use crate::timing::Timing;
 
 /// Tuning knobs of a [`RoutedClient`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Tuning for each underlying per-broker client. Its [`Timing`] also
-    /// sets the router's switch grace, failover timer, probe timeout and
-    /// re-probe spacing.
+    /// Tuning for each underlying per-broker client, except its `seed`,
+    /// which is replaced per broker from [`Self::seed`]. Its [`Timing`]
+    /// also sets the router's switch grace, failover timer, probe
+    /// timeout and re-probe spacing.
     pub client: ClientConfig,
     /// Router-level (cross-broker) dedup window, in wire ids.
     pub dedup_window: usize,
-    /// Seed for replication-mode random member picks and for deriving
-    /// per-broker client seeds. `None` uses OS entropy.
+    /// Seed for the router's origin, its replication-mode random member
+    /// picks and the per-broker client seeds. `None` uses OS entropy.
     pub seed: Option<u64>,
 }
 
@@ -168,12 +174,13 @@ struct RouterShared {
     stale_frames: AtomicU64,
     deaths: AtomicU64,
     repoints: AtomicU64,
-    /// Wire-id origin for publishes the *router* frames itself (the
-    /// replicated fan-out path). Per-broker clients keep their own
-    /// decorrelated origins for single-target publishes.
-    pub_origin: u64,
-    /// Sequence counter within `pub_origin`'s wire-id namespace.
-    pub_seq: AtomicU64,
+    /// The origin of every wire id this router frames.
+    origin: u64,
+    /// The `seq` of the next wire id this router frames.
+    seq: AtomicU64,
+    /// `__dmc.<origin>`: where sidecars send this router `MOVED`. Every
+    /// connection subscribes it.
+    control: String,
     /// The cross-broker dedup window, shared by the router's workers
     /// (a channel's old and new home overlap during switch grace).
     dedup: Mutex<Dedup>,
@@ -196,8 +203,6 @@ enum Inbox {
 /// The sink of broker `broker`'s worker: the router's data plane.
 struct RouterSink {
     broker: usize,
-    /// This connection's private control channel, named once.
-    control: String,
     dedup_window: usize,
     shared: Arc<RouterShared>,
     messages: mpsc::Sender<Message>,
@@ -209,7 +214,7 @@ struct RouterSink {
 impl Sink for RouterSink {
     fn message(&mut self, msg: Message) {
         self.got_message = true;
-        let on_control_channel = msg.channel == self.control;
+        let on_control_channel = msg.channel == self.shared.control;
         if let Some(frame) = ControlFrame::decode(&msg.payload) {
             let applies = match &frame {
                 ControlFrame::Moved { .. } => on_control_channel,
@@ -223,7 +228,7 @@ impl Sink for RouterSink {
             // that merely looks like one; fall through and deliver it.
         }
         if on_control_channel {
-            return; // junk on the private channel; nothing to deliver
+            return; // junk on the control channel; nothing to deliver
         }
         if let Some(id) = msg.id {
             if !self.shared.dedup.lock().insert(id, self.dedup_window) {
@@ -293,7 +298,7 @@ struct Routing {
     pending_unsubs: Vec<(Instant, usize, String)>,
     /// Per-broker liveness, indexed by directory position.
     health: Vec<BrokerHealth>,
-    rng: SplitMix64,
+    rng: SimRng,
 }
 
 impl Routing {
@@ -346,21 +351,13 @@ impl RoutedClient {
         assert!(!directory.is_empty(), "directory needs at least one broker");
         let servers: Vec<ServerId> = (0..directory.len()).map(ServerId::from_index).collect();
         let ring = Ring::new(&servers, DEFAULT_VNODES);
-        let rng = match cfg.seed {
-            Some(seed) => SplitMix64::new(seed),
-            None => SplitMix64::from_entropy(),
-        };
-        // A namespace of its own, decorrelated from every per-broker
-        // client origin (those mix the broker index in), so replicated
-        // fan-out ids collide with nobody.
-        let pub_origin = match cfg.seed {
-            Some(seed) => SplitMix64::new(seed ^ 0xD1B5_4A32_D192_ED03).next_u64(),
-            None => SplitMix64::from_entropy().next_u64(),
-        };
+        let mut rng = seeded_rng(cfg.seed);
+        let origin = rng.next_u64();
         let shared = Arc::new(RouterShared {
             running: AtomicBool::new(true),
-            pub_origin,
-            pub_seq: AtomicU64::new(0),
+            origin,
+            seq: AtomicU64::new(0),
+            control: control_channel(origin),
             duplicates: AtomicU64::new(0),
             moved_applied: AtomicU64::new(0),
             switches_applied: AtomicU64::new(0),
@@ -454,47 +451,29 @@ impl RoutedClient {
     }
 
     /// Publishes `body` on `channel`, routed per the channel's current
-    /// mapping.
+    /// mapping. It is framed once, under the router's origin: every
+    /// target gets the same bytes, so a subscriber that hears more than
+    /// one copy dedups them.
     pub fn publish(&self, channel: &str, body: &[u8]) {
         let core = &self.core;
         let mut routing = core.routing.lock();
         let mapping = core.resolve_locked(&mut routing, channel);
         let mapping = route_around_dead(&core.ring, &routing, channel, &mapping);
-        let targets: Vec<usize> = match &mapping {
-            ChannelMapping::Single(s) => vec![s.index()],
-            // Empty replicated member lists are rejected at decode and
-            // construction time; routing to nowhere (instead of
-            // indexing into nothing) keeps even a corrupt local plan
-            // from panicking the caller.
-            ChannelMapping::AllSubscribers(v) if v.is_empty() => Vec::new(),
-            ChannelMapping::AllSubscribers(v) => {
-                let pick = routing.rng.next_below(v.len() as u64) as usize;
-                vec![v[pick].index()]
-            }
-            ChannelMapping::AllPublishers(v) => v.iter().map(|s| s.index()).collect(),
-        };
+        let targets = mapping.publish_targets(&mut routing.rng);
         drop(routing);
-        if targets.len() > 1 {
-            // Replicated fan-out: every copy must carry the SAME wire
-            // id, or a subscriber observing more than one member (a
-            // switch-grace overlap, an `AllSubscribers` view, or a
-            // pooled virtual-client demux) counts the publish twice —
-            // per-broker clients have deliberately decorrelated
-            // origins, so letting each frame its own id defeats every
-            // dedup window downstream. Frame once here, send verbatim.
-            let id = MessageId {
-                origin: core.shared.pub_origin,
-                seq: core.shared.pub_seq.fetch_add(1, Ordering::Relaxed),
-            };
-            let framed = frame_payload(id, body);
-            for idx in targets {
-                core.client(idx).publish_raw(channel, &framed);
-            }
-        } else {
-            for idx in targets {
-                core.client(idx).publish(channel, body);
-            }
+        let Some((last, rest)) = targets.split_last() else {
+            return;
+        };
+        let id = MessageId {
+            origin: core.shared.origin,
+            seq: core.shared.seq.fetch_add(1, Ordering::Relaxed),
+        };
+        let framed = frame_payload(id, body);
+        for s in rest {
+            core.client(s.index())
+                .publish_framed(channel, framed.clone());
         }
+        core.client(last.index()).publish_framed(channel, framed);
     }
 
     /// The next delivered message, if one is already queued.
@@ -632,30 +611,28 @@ impl Core {
     }
 
     /// The lazily created client for broker `idx`. Its worker delivers
-    /// through a [`RouterSink`]; on creation it also subscribes its
-    /// private control channel, so sidecars can reach this router on
-    /// that broker.
+    /// through a [`RouterSink`]; on creation it also subscribes the
+    /// router's control channel, so a sidecar of whichever broker this
+    /// router published to can reach it there.
     fn client(&self, idx: usize) -> Arc<TcpPubSubClient> {
         let mut clients = self.clients.lock();
         let client = clients.entry(idx).or_insert_with(|| {
             let mut cfg = self.cfg.client.clone();
-            // Decorrelate per-broker client seeds: identical seeds would
-            // mean identical origins, colliding wire-id sequence spaces
-            // and a shared control channel across connections.
+            // Per-broker seeds, so the connections' reconnect jitter is
+            // decorrelated from each other and from the router's stream.
             cfg.seed = self.cfg.seed.map(|s| {
-                SplitMix64::new(s ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
+                SimRng::new(s ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
             });
-            let client =
-                TcpPubSubClient::connect_sink(self.directory[idx], cfg, |origin| RouterSink {
-                    broker: idx,
-                    control: control_channel(origin),
-                    dedup_window: self.cfg.dedup_window,
-                    shared: Arc::clone(&self.shared),
-                    messages: self.messages.clone(),
-                    inbox: self.inbox.clone(),
-                    got_message: false,
-                });
-            client.subscribe(&control_channel(client.origin()));
+            let sink = RouterSink {
+                broker: idx,
+                dedup_window: self.cfg.dedup_window,
+                shared: Arc::clone(&self.shared),
+                messages: self.messages.clone(),
+                inbox: self.inbox.clone(),
+                got_message: false,
+            };
+            let client = TcpPubSubClient::connect_sink(self.directory[idx], cfg, sink);
+            client.subscribe(&self.shared.control);
             Arc::new(client)
         });
         Arc::clone(client)
@@ -998,7 +975,7 @@ impl Core {
                     }
                 };
                 if let Some(target) = target {
-                    self.client(target).publish_raw(&channel, &framed);
+                    self.client(target).publish_framed(&channel, framed);
                 }
             }
         }

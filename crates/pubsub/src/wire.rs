@@ -287,9 +287,9 @@ pub(crate) fn delivery(payload: &[u8]) -> Delivery<'_> {
     framed.unwrap_or(Delivery::Plain(payload))
 }
 
-/// The private control channel of the client with wire-id `origin`.
-/// Sidecars publish [`ControlFrame::Moved`] here; the routed client
-/// subscribes to it on every broker it connects to.
+/// The control channel of the publisher with wire-id `origin`. Sidecars
+/// publish [`ControlFrame::Moved`] here; the routed client subscribes to
+/// it on every broker it connects to.
 pub fn control_channel(origin: u64) -> String {
     format!("{CONTROL_CHANNELS}{origin:016x}")
 }
@@ -406,7 +406,7 @@ fn quarantine(field: &[u8]) -> Option<Vec<Quarantine>> {
 ///   telling the channel's still-connected local subscribers where the
 ///   channel now lives.
 /// - **`MOVED`** ([`ControlFrame::Moved`]): published on the stale
-///   *publisher's* private control channel (derived from the wire-id
+///   *publisher's* control channel (derived from the wire-id
 ///   origin of the wrong-server publication it just sent), telling it to
 ///   update its local plan. This is the Redis-Cluster-style wrong-server
 ///   reply, done over pub/sub because the broker cannot speak for us.

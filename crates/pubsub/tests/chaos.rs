@@ -265,19 +265,22 @@ fn half_open_broker_detected_within_liveness_timeout() {
 
         let cfg = chaos_cfg(seed ^ 4);
         let liveness = cfg.timing.liveness_timeout();
+        // The worker's deadline starts when its connect returns, which is
+        // after this instant and before the test sees `Connected`: only a
+        // clock started here bounds it from below.
+        let started = Instant::now();
         let client = TcpPubSubClient::connect_with(proxy.local_addr(), cfg).expect("client");
 
         wait_for_event(&client, "connect", Duration::from_secs(10), |e| {
             matches!(e, ClientEvent::Connected { .. })
         });
-        let connected_at = Instant::now();
         let event = wait_for_event(
             &client,
             "liveness disconnect",
             Duration::from_secs(10),
             |e| matches!(e, ClientEvent::Disconnected { .. }),
         );
-        let detected_in = connected_at.elapsed();
+        let detected_in = started.elapsed();
         assert_eq!(
             event,
             ClientEvent::Disconnected {

@@ -3,13 +3,13 @@
 //! every member broker, and a subscriber whose `AllSubscribers` view
 //! has it subscribed on *all* of those members — the shape every pooled
 //! virtual-client connection of the scale harness observes — receives
-//! each copy. Before the fix, each per-broker client framed its copy
-//! under its own decorrelated wire-id origin, so the copies carried
-//! *different* ids and no dedup window (client, router or sidecar)
-//! could correlate them: every publish surfaced twice. The router now
-//! frames replicated fan-outs once, under a router-owned origin, and
-//! sends the identical bytes to every member, so the router-level dedup
-//! window suppresses the extra copies.
+//! each copy. Were each copy framed by its own connection, under that
+//! connection's origin, the copies would carry *different* ids and no
+//! dedup window (client, router or sidecar) could correlate them: every
+//! publish would surface twice. The router frames every publication
+//! once, under its one origin, and hands the identical bytes to every
+//! member, so the router-level dedup window suppresses the extra
+//! copies.
 //!
 //! Deterministic per seed: run with `CHAOS_SEED=<n>` for a different
 //! schedule (CI runs two).

@@ -273,8 +273,9 @@ fn quarantine_verdict_arriving_on_the_condemned_connection_is_applied() {
         let condemned = 1;
         let channel = &channels[condemned];
 
-        // Learn connection `condemned`'s private control channel from
-        // the wire id of a publication the router routes over it.
+        // Learn the router's control channel, which every one of its
+        // connections subscribes, from the wire id of a publication it
+        // routes over connection `condemned`.
         let helper = TcpPubSubClient::connect_addr(directory[condemned], ClientConfig::default());
         helper.subscribe(channel);
         wait_until("helper subscription", Duration::from_secs(10), || {

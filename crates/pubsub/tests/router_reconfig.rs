@@ -5,15 +5,18 @@
 //! and stalls. The acceptance bar is the paper's: zero lost and zero
 //! duplicated deliveries (wire-id accounting), wrong-server
 //! publications forwarded until publishers and subscribers converge on
-//! the new plan, and all sidecar forwarding state torn down once its
-//! TTL lapses.
+//! the new plan, all sidecar forwarding state torn down once its TTL
+//! lapses, and one origin on every delivered wire id: the publisher
+//! keeps its identity as its channel moves between brokers.
 //!
 //! Two more tests pin down what the old home's sidecar sends, and for
 //! how long: a subscriber that reaches the old home after the new home
 //! stopped forwarding back still hears a `<switch>` beacon and catches up
 //! by replay at the new home, and a stale publisher that never reroutes
 //! has every publication forwarded while earning a bounded number of
-//! control frames, not one per publication. A last one checks that
+//! control frames, not one per publication. Another checks that a
+//! publisher fanning out to an `AllPublishers` mapping hears the `MOVED`
+//! of the old homes and re-routes at once. A last one checks that
 //! installed state expires on its TTL with no traffic to wake a sidecar.
 //!
 //! Deterministic per seed: run with `CHAOS_SEED=<n>` for a different
@@ -267,6 +270,10 @@ fn hot_channel_migrates_across_live_cluster_exactly_once() {
             );
         }
         assert_eq!(ids.len(), published.len());
+        // One publisher, one origin: framing belongs to the router, not
+        // to whichever broker connection the channel's home put it on.
+        let origins: HashSet<u64> = ids.iter().map(|id| id.origin).collect();
+        assert_eq!(origins.len(), 1, "one publisher, many origins: {origins:?}");
 
         // The reconfiguration machinery actually ran: the old homes
         // forwarded wrong-server publications and emitted both control
@@ -321,34 +328,34 @@ fn hot_channel_migrates_across_live_cluster_exactly_once() {
     });
 }
 
-/// Two brokers and their sidecars, with no proxy in between and the
-/// default timing, plus a channel whose ring home is broker 0: the old
-/// home of [`Pair::migrate`].
-struct Pair {
+/// Brokers and their sidecars, with no proxy in between, plus a channel
+/// whose ring home is broker 0: the old home of [`Cluster::migrate`].
+struct Cluster {
     brokers: Vec<TcpBroker>,
     direct: Vec<SocketAddr>,
     sidecars: Vec<DispatcherSidecar>,
     channel: String,
 }
 
-impl Pair {
-    fn start(seed: u64, timing: Timing) -> Pair {
-        let brokers: Vec<TcpBroker> = (0..2)
+impl Cluster {
+    fn start(n: usize, seed: u64, timing: Timing) -> Cluster {
+        let brokers: Vec<TcpBroker> = (0..n)
             .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
             .collect();
         let direct: Vec<SocketAddr> = brokers.iter().map(|b| b.local_addr()).collect();
-        let sidecars = (0..2)
+        let sidecars = (0..n)
             .map(|i| {
                 let cfg = sidecar_cfg(seed ^ (0x20 + i as u64), timing);
                 DispatcherSidecar::start(sid(i), direct.clone(), cfg)
             })
             .collect();
-        let ring = Ring::new(&[sid(0), sid(1)], DEFAULT_VNODES);
+        let servers: Vec<ServerId> = (0..n).map(sid).collect();
+        let ring = Ring::new(&servers, DEFAULT_VNODES);
         let channel = (0..)
             .map(|i| format!("moving-{i}"))
             .find(|c| ring.server_for(channel_id_of(c)).index() == 0)
             .expect("some name homes on broker 0");
-        Pair {
+        Cluster {
             brokers,
             direct,
             sidecars,
@@ -395,7 +402,7 @@ impl Pair {
 fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home() {
     with_deadline(60, || {
         let seed = seed(0x0D15_EA5E);
-        let pair = Pair::start(seed, Timing::default());
+        let pair = Cluster::start(2, seed, Timing::default());
         let ch = pair.channel.clone();
         let installed = pair.migrate();
 
@@ -478,7 +485,7 @@ fn late_subscriber_on_the_old_home_hears_the_beacon_and_replays_at_the_new_home(
 fn stale_publisher_that_never_reroutes_costs_a_bounded_number_of_control_frames() {
     with_deadline(60, || {
         let seed = seed(0x0D15_EA5E);
-        let pair = Pair::start(seed, Timing::default());
+        let pair = Cluster::start(2, seed, Timing::default());
         let ch = pair.channel.clone();
         let sub = pair.router(seed ^ 5);
         sub.subscribe(&ch);
@@ -546,6 +553,61 @@ fn stale_publisher_that_never_reroutes_costs_a_bounded_number_of_control_frames(
     });
 }
 
+/// A router frames each publication once, under its own origin, and
+/// subscribes that origin's control channel on every broker it uses. So
+/// when an `AllPublishers` channel moves off both of its members, the
+/// `MOVED` either old home sends reaches the router, which re-routes on
+/// its first publication.
+#[test]
+fn replicated_publisher_hears_moved_and_reroutes() {
+    with_deadline(60, || {
+        let seed = seed(0x0D15_EA5E);
+        let cluster = Cluster::start(3, seed, Timing::default());
+        let ch = cluster.channel.clone();
+        let old = ChannelMapping::AllPublishers(vec![sid(0), sid(1)]);
+        let publisher = cluster.router(seed ^ 7);
+        publisher.install_local_mapping(&ch, old.clone(), PlanId(1));
+        let change = ChannelChange {
+            channel: ch.clone(),
+            old,
+            new: ChannelMapping::Single(sid(2)),
+        };
+        for sidecar in &cluster.sidecars {
+            sidecar.install(change.clone(), PlanId(2));
+        }
+        wait_until("every sidecar watch", Duration::from_secs(10), || {
+            cluster
+                .brokers
+                .iter()
+                .all(|b| b.channel_subscribers(&ch) >= 1)
+        });
+
+        let target = (ChannelMapping::Single(sid(2)), PlanId(2));
+        let start = Instant::now();
+        for i in 0.. {
+            if publisher.local_mapping(&ch).as_ref() == Some(&target) {
+                break;
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "never re-routed after {i} publications: {:?} {:?}",
+                publisher.local_mapping(&ch),
+                publisher.stats()
+            );
+            publisher.publish(&ch, format!("p-{i}").as_bytes());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let stats = publisher.stats();
+        assert!(
+            stats.moved_applied >= 1,
+            "re-routed without MOVED: {stats:?}"
+        );
+
+        publisher.shutdown();
+        cluster.shutdown();
+    });
+}
+
 /// Nothing but the TTL deadline wakes a sidecar whose channel sees no
 /// traffic: if the pump forgot it, the state would live for ever.
 #[test]
@@ -555,7 +617,7 @@ fn installed_state_expires_on_its_ttl_without_traffic() {
             .expect("valid timing");
         let ttl = timing.ttl();
         assert_eq!(ttl, Duration::from_secs(1));
-        let pair = Pair::start(seed(0x0D15_EA5E), timing);
+        let pair = Cluster::start(2, seed(0x0D15_EA5E), timing);
         let ch = pair.channel.clone();
         let installed = pair.migrate();
         // (expired, active channels, watch subscriptions) per sidecar.

@@ -4,7 +4,7 @@
 //! Two services make the loop:
 //!
 //! - A [`LoadReporter`] runs next to each broker. It periodically
-//!   harvests the broker's [`BrokerLoadAnalyzer`](crate::load) deltas
+//!   harvests the broker's per-channel load deltas ([`crate::load`])
 //!   and publishes them — as ordinary pub/sub traffic on the broker's
 //!   own `__dmc.lla.*` channel — so the balancer needs no side channel
 //!   and the broker stays protocol-unmodified, exactly like the paper's

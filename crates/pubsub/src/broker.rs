@@ -17,7 +17,9 @@
 //! - subscription state lives in a [`ShardedIndex`]: commands on
 //!   disjoint channels take disjoint locks (shard chosen by hashing the
 //!   channel name), and the index is keyed by the **full** name so a
-//!   hash collision can never merge two channels;
+//!   hash collision can never merge two channels; the same entry holds
+//!   the channel's load counters, so a `PUBLISH` resolves its channel
+//!   once;
 //! - `PUBLISH` is read-mostly: it clones the channel's immutable
 //!   `Arc` subscriber snapshot under a shared lock and fans out with no
 //!   lock held, so concurrent publishers never serialize behind each
@@ -35,7 +37,7 @@
 //!   touch no global lock.
 //!
 //! Beyond plain Redis semantics the broker speaks the `DMSEQ1` resume
-//! protocol (see [`crate::seq`]): every publish is assigned a
+//! protocol (see [`crate::wire`]): every publish is assigned a
 //! per-channel monotonic sequence and retained in a bounded ring
 //! ([`BrokerConfig::retention_frames`] /
 //! [`BrokerConfig::retention_bytes`]), and a `SUBSCRIBE` whose channel
@@ -53,7 +55,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::load::{BrokerLoadAnalyzer, BrokerLoadReport};
+use crate::load::BrokerLoadReport;
 use crate::outbox::{self, Frame, OutboxSender, OverflowPolicy};
 use crate::reactor::{self, LoopHandle};
 use crate::resp::{self, Command, Value};
@@ -228,10 +230,9 @@ pub(crate) struct ConnState {
 
 pub(crate) struct BrokerShared {
     pub(crate) config: BrokerConfig,
+    /// The one per-channel table: subscribers, sequence, retention and
+    /// load counters (see [`crate::shard`] and [`crate::load`]).
     pub(crate) index: ShardedIndex,
-    /// Live load analyzer riding the publish hot path (see
-    /// [`crate::load`]).
-    pub(crate) load: BrokerLoadAnalyzer,
     /// Connection registry: touched on connect, disconnect and kill —
     /// never on the pub/sub hot path.
     pub(crate) conns: Mutex<HashMap<u64, Arc<ConnState>>>,
@@ -326,7 +327,6 @@ impl TcpBroker {
                 config.retention_frames,
                 config.retention_bytes,
             ),
-            load: BrokerLoadAnalyzer::new(config.shards),
             config,
             conns: Mutex::new(HashMap::new()),
             loops: loops.iter().map(|(_, h)| h.clone()).collect(),
@@ -452,9 +452,7 @@ impl TcpBroker {
     /// the broker-side half of the live control plane. Each counter
     /// increment appears in exactly one report across successive calls.
     pub fn load_report(&self) -> BrokerLoadReport {
-        self.shared
-            .load
-            .harvest(self.shared.index.channels_with_subscribers())
+        self.shared.index.load_report()
     }
 
     /// A cloneable handle that can harvest [`Self::load_report`]s after
@@ -506,7 +504,7 @@ impl TcpBroker {
     }
 }
 
-/// A cloneable handle onto a broker's load analyzer, detached from the
+/// A cloneable handle onto a broker's load counters, detached from the
 /// [`TcpBroker`] value itself so a reporter thread can harvest reports
 /// while the broker lives on another thread. Holding a handle does not
 /// keep the broker serving — once the broker shuts down the handle just
@@ -519,9 +517,7 @@ pub struct BrokerLoadHandle {
 impl BrokerLoadHandle {
     /// Harvests the next load report (see [`TcpBroker::load_report`]).
     pub fn report(&self) -> BrokerLoadReport {
-        self.shared
-            .load
-            .harvest(self.shared.index.channels_with_subscribers())
+        self.shared.index.load_report()
     }
 
     /// `true` once the broker behind this handle has shut down. A
@@ -669,9 +665,9 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
             // only exist when retention is on, i.e. when `seq` is set.
             let mut plain: Option<Frame> = None;
             let mut seqed: Option<Frame> = None;
-            // The channel key is shared by every outbox push of this
+            // The channel's interned name keys every outbox push of this
             // fan-out; only `ConflateByChannel` consults it.
-            let chan_key: Arc<str> = Arc::from(name.as_str());
+            let chan_key = fanout.channel();
             for sub in fanout.subs.iter() {
                 let frame = if sub.sequenced {
                     seqed.get_or_insert_with(|| {
@@ -683,7 +679,7 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
                 };
                 if sub
                     .outbox
-                    .push_keyed(Arc::clone(frame), Some(Arc::clone(&chan_key)))
+                    .push_keyed(Arc::clone(frame), Some(Arc::clone(chan_key)))
                 {
                     delivered += 1;
                     sent_bytes += frame.len() as u64;
@@ -691,8 +687,7 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
                     overflowed.push(sub.conn);
                 }
             }
-            shared.load.note_publish(
-                &name,
+            fanout.count(
                 (name.len() + payload.len()) as u64,
                 sent_bytes,
                 delivered as u64,

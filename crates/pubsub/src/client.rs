@@ -13,8 +13,7 @@
 //!   restart.
 //! - **Resubscribe + resume**: the desired channel set survives the
 //!   socket; on every reconnect the client transparently
-//!   re-`SUBSCRIBE`s before anything else. With
-//!   [`ClientConfig::resume`] on (the default) each subscription uses
+//!   re-`SUBSCRIBE`s before anything else. Each subscription uses
 //!   the broker's `DMSEQ1` from-sequence form: the client tracks the
 //!   highest sequence seen per channel and asks the broker to replay
 //!   everything after it, so an outage longer than the dedup window
@@ -121,12 +120,6 @@ pub struct ClientConfig {
     /// Seed for the jitter PRNG and the origin id; `None` uses OS
     /// entropy. Fixing it makes reconnect timing reproducible in tests.
     pub seed: Option<u64>,
-    /// Subscribe with the broker's `DMSEQ1` from-sequence form and
-    /// resume from the per-channel high-water sequence after every
-    /// reconnect. Against a broker with retention disabled the form
-    /// degrades to a plain subscription; disabling it here restores the
-    /// pre-resume wire behaviour entirely.
-    pub resume: bool,
 }
 
 impl Default for ClientConfig {
@@ -138,7 +131,6 @@ impl Default for ClientConfig {
             publish_retries: 8,
             tick: Duration::from_millis(20),
             seed: None,
-            resume: true,
         }
     }
 }
@@ -271,8 +263,8 @@ pub struct Message {
     pub payload: Vec<u8>,
     /// The publication's unique id, when the publisher framed one.
     pub id: Option<MessageId>,
-    /// The broker-assigned per-channel sequence, when this subscription
-    /// is sequenced (see [`ClientConfig::resume`]).
+    /// The broker-assigned per-channel sequence, when the broker
+    /// sequences this subscription (its retention is on).
     pub seq: Option<u64>,
 }
 
@@ -466,13 +458,10 @@ struct ResumeState {
 }
 
 impl ResumeState {
-    /// The `SUBSCRIBE` argument re-establishing this subscription:
-    /// plain name without resume, `DMSEQ1`-framed otherwise — from the
-    /// furthest point already covered, live when nothing is.
-    fn subscribe_arg(&self, resume: bool, channel: &str) -> Vec<u8> {
-        if !resume {
-            return channel.as_bytes().to_vec();
-        }
+    /// The `SUBSCRIBE` argument re-establishing this subscription,
+    /// `DMSEQ1`-framed: from the furthest point already covered, live
+    /// when nothing is.
+    fn subscribe_arg(&self, channel: &str) -> Vec<u8> {
         let from = match (self.base_from, self.high_water) {
             (None, None) => None,
             (base, hw) => Some(base.unwrap_or(0).max(hw.map_or(0, |h| h + 1))),
@@ -650,9 +639,9 @@ impl TcpPubSubClient {
     }
 
     /// Adds `channel` to the desired subscription set; the worker
-    /// subscribes now (if connected) and after every reconnect. With
-    /// [`ClientConfig::resume`] on, delivery starts live and every
-    /// later reconnect resumes from the highest sequence seen.
+    /// subscribes now (if connected) and after every reconnect.
+    /// Delivery starts live and every later reconnect resumes from the
+    /// highest sequence seen.
     pub fn subscribe(&self, channel: &str) {
         let channel = channel.to_owned();
         self.shared.command(Cmd::Subscribe {
@@ -955,7 +944,7 @@ impl Worker {
             let args: Vec<Vec<u8>> = self
                 .desired
                 .iter()
-                .map(|(c, st)| st.subscribe_arg(self.cfg.resume, c))
+                .map(|(c, st)| st.subscribe_arg(c))
                 .collect();
             let mut parts: Vec<&[u8]> = vec![b"SUBSCRIBE"];
             parts.extend(args.iter().map(Vec::as_slice));
@@ -1081,12 +1070,7 @@ impl Worker {
                 };
                 // Resume-protocol markers arrive as unicast pushes on the
                 // channel; they never reach the normal delivery path.
-                let delivery = if self.cfg.resume {
-                    wire::delivery(payload)
-                } else {
-                    Delivery::Plain(payload)
-                };
-                let (broker_seq, payload) = match delivery {
+                let (broker_seq, payload) = match wire::delivery(payload) {
                     Delivery::Gap(requested, resume_from) => {
                         // `resume_from < requested` means the broker's
                         // sequence space restarted under us: the stale
@@ -1172,7 +1156,7 @@ impl Worker {
                     // an already-subscribed channel: the broker replaces
                     // the registration and replays from the new point.
                     if connected && (is_new || from.is_some()) {
-                        let arg = st.subscribe_arg(self.cfg.resume, &channel);
+                        let arg = st.subscribe_arg(&channel);
                         resp::encode_command(&[b"SUBSCRIBE", &arg], &mut self.out);
                     }
                 }
@@ -1313,18 +1297,14 @@ mod tests {
         };
         // A fresh subscription goes live-sequenced: no history replay.
         let fresh = arg(None, None);
-        assert_eq!(
-            fresh.subscribe_arg(true, "ch"),
-            wire::subscribe_arg("ch", None)
-        );
-        assert_eq!(fresh.subscribe_arg(false, "ch"), b"ch");
+        assert_eq!(fresh.subscribe_arg("ch"), wire::subscribe_arg("ch", None));
         let after_hw = wire::subscribe_arg("ch", Some(10));
-        assert_eq!(arg(None, Some(9)).subscribe_arg(true, "ch"), after_hw);
+        assert_eq!(arg(None, Some(9)).subscribe_arg("ch"), after_hw);
         // An explicit base only wins while it lies beyond the
         // high-water mark.
-        assert_eq!(arg(Some(3), Some(9)).subscribe_arg(true, "ch"), after_hw);
+        assert_eq!(arg(Some(3), Some(9)).subscribe_arg("ch"), after_hw);
         assert_eq!(
-            arg(Some(42), Some(9)).subscribe_arg(true, "ch"),
+            arg(Some(42), Some(9)).subscribe_arg("ch"),
             wire::subscribe_arg("ch", Some(42))
         );
     }

@@ -70,7 +70,7 @@ pub use control::{
 pub use dispatcher::{ChannelChange, DispatcherSidecar, SidecarConfig, SidecarEvent, SidecarStats};
 pub use hashing::{Ring, DEFAULT_VNODES};
 pub use ids::{PlanId, ServerId};
-pub use load::{BrokerLoadAnalyzer, BrokerLoadReport};
+pub use load::BrokerLoadReport;
 pub use outbox::OverflowPolicy;
 pub use plan::{ChannelMapping, Plan, PlanChange, PlanError};
 pub use router::{RoutedClient, RouterConfig, RouterEvent, RouterStats};

@@ -1,45 +1,51 @@
-//! Broker-side live load analyzer — the TCP tier's Local Load Analyzer
-//! (§III-A of the paper).
+//! Broker-side load measurement — the TCP tier's Local Load Analyzer
+//! (§III-A of the paper), which the paper registers "as an observer on
+//! every channel".
 //!
-//! A [`BrokerLoadAnalyzer`] rides the broker's publish hot path and
-//! accumulates per-channel counters (publications, deliveries, bytes
-//! in/out) plus broker-wide totals, all as **cumulative relaxed
-//! atomics** sharded exactly like the subscription index — the hot path
-//! pays a shard read-lock lookup plus four relaxed `fetch_add`s, and a
-//! shard write lock only on the first publication a channel ever sees.
+//! The counters live where the channel lives: every entry of the
+//! broker's subscription index (`shard.rs`) carries one set of
+//! **cumulative relaxed atomics** (publications, deliveries, bytes
+//! in/out). PUBLISH resolves its channel once and bumps the counters of
+//! the entry it already holds — no second map, no broker-wide counter.
 //!
-//! Harvesting ([`BrokerLoadAnalyzer::harvest`], surfaced as
-//! [`TcpBroker::load_report`](crate::TcpBroker::load_report)) converts
-//! the cumulative counters into per-interval deltas against a snapshot
-//! of the previous harvest. Because every counter is monotone and each
-//! harvest telescopes against the last, **every increment is counted in
-//! exactly one report** — concurrent publishes during a harvest land
-//! either in this report or the next, never in both and never nowhere.
-//! Subscriber counts are a gauge read from the subscription index at
-//! harvest time, so channels with subscribers but no traffic still
-//! appear (exactly once) and the balancer sees them.
+//! Harvesting ([`TcpBroker::load_report`](crate::TcpBroker::load_report))
+//! walks the index once and diffs each entry's counters against that
+//! entry's snapshot from the previous harvest. Because every counter is
+//! monotone and each harvest telescopes against the last, **every
+//! increment is counted in exactly one report** — concurrent publishes
+//! during a harvest land either in this report or the next, never in
+//! both and never nowhere. The subscriber gauge is read in the same
+//! pass, so channels with subscribers but no traffic still appear
+//! (exactly once) and the balancer sees them. A report's broker totals
+//! are the sums of its per-channel deltas.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
 
 use crate::balance::metrics::ChannelTick;
-use crate::shard::fnv64;
 
 /// Cumulative per-channel counters, bumped with relaxed ordering on the
 /// publish hot path.
 #[derive(Default)]
-struct ChannelCounters {
+pub(crate) struct LoadCounters {
     publications: AtomicU64,
     deliveries: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
 }
 
-impl ChannelCounters {
-    fn read(&self) -> Totals {
+impl LoadCounters {
+    /// Records one publication that carried `bytes_in` in, fanned out
+    /// `bytes_out` of encoded frames and reached `delivered` outboxes.
+    pub fn note(&self, bytes_in: u64, bytes_out: u64, delivered: u64) {
+        self.publications.fetch_add(1, Ordering::Relaxed);
+        self.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
+        if delivered > 0 {
+            self.deliveries.fetch_add(delivered, Ordering::Relaxed);
+            self.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
+        }
+    }
+
+    pub fn read(&self) -> Totals {
         Totals {
             publications: self.publications.load(Ordering::Relaxed),
             deliveries: self.deliveries.load(Ordering::Relaxed),
@@ -51,7 +57,7 @@ impl ChannelCounters {
 
 /// A point-in-time reading of one channel's cumulative counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Totals {
+pub(crate) struct Totals {
     publications: u64,
     deliveries: u64,
     bytes_in: u64,
@@ -59,7 +65,9 @@ struct Totals {
 }
 
 impl Totals {
-    fn delta_since(&self, last: &Totals) -> ChannelTick {
+    /// The interval since `last`, with the channel's current subscriber
+    /// gauge.
+    pub fn delta_since(&self, last: &Totals, subscribers: u32) -> ChannelTick {
         ChannelTick {
             publications: self.publications - last.publications,
             deliveries: self.deliveries - last.deliveries,
@@ -69,20 +77,9 @@ impl Totals {
             // on the hot path; the live balancing algorithms read
             // publications and subscribers, not publishers.
             publishers: 0,
-            subscribers: 0,
+            subscribers,
         }
     }
-}
-
-/// Harvest bookkeeping: the previous harvest's snapshot of every
-/// cumulative counter, so reports carry exact per-interval deltas.
-#[derive(Default)]
-struct HarvestState {
-    tick: u64,
-    last: HashMap<String, Totals>,
-    last_egress: u64,
-    last_ingress: u64,
-    last_sent: u64,
 }
 
 /// One harvest interval of broker load, as produced by
@@ -106,301 +103,18 @@ pub struct BrokerLoadReport {
     pub channels: Vec<(String, ChannelTick)>,
 }
 
-/// The broker's live load analyzer (see module docs).
-pub struct BrokerLoadAnalyzer {
-    shards: Vec<RwLock<HashMap<String, Arc<ChannelCounters>>>>,
-    egress_bytes: AtomicU64,
-    ingress_bytes: AtomicU64,
-    sent_messages: AtomicU64,
-    harvest: Mutex<HarvestState>,
-}
-
-impl BrokerLoadAnalyzer {
-    /// Creates an analyzer with `shards` counter shards (rounded up to a
-    /// power of two, minimum 1) — mirror the broker's index sharding.
-    pub fn new(shards: usize) -> BrokerLoadAnalyzer {
-        let n = shards.max(1).next_power_of_two();
-        BrokerLoadAnalyzer {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            egress_bytes: AtomicU64::new(0),
-            ingress_bytes: AtomicU64::new(0),
-            sent_messages: AtomicU64::new(0),
-            harvest: Mutex::new(HarvestState::default()),
-        }
-    }
-
-    fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<ChannelCounters>>> {
-        &self.shards[(fnv64(name) as usize) & (self.shards.len() - 1)]
-    }
-
-    /// Hot-path hook: records one publication on `name` that carried
-    /// `ingress_bytes` in, fanned out `egress_bytes` of encoded frames,
-    /// and was handed to `delivered` subscriber outboxes.
-    pub fn note_publish(&self, name: &str, ingress_bytes: u64, egress_bytes: u64, delivered: u64) {
-        self.ingress_bytes
-            .fetch_add(ingress_bytes, Ordering::Relaxed);
-        if egress_bytes > 0 {
-            self.egress_bytes.fetch_add(egress_bytes, Ordering::Relaxed);
-        }
-        if delivered > 0 {
-            self.sent_messages.fetch_add(delivered, Ordering::Relaxed);
-        }
-        let counters = {
-            let shard = self.shard(name);
-            // Bind the fast-path lookup to a statement so the read guard
-            // drops before the slow path takes the write lock.
-            let hit = shard.read().get(name).map(Arc::clone);
-            match hit {
-                Some(c) => c,
-                None => {
-                    let mut shard = shard.write();
-                    Arc::clone(shard.entry(name.to_owned()).or_default())
-                }
-            }
-        };
-        counters.publications.fetch_add(1, Ordering::Relaxed);
-        counters.deliveries.fetch_add(delivered, Ordering::Relaxed);
-        counters
-            .bytes_in
-            .fetch_add(ingress_bytes, Ordering::Relaxed);
-        counters
-            .bytes_out
-            .fetch_add(egress_bytes, Ordering::Relaxed);
-    }
-
-    /// Closes one interval: reads every cumulative counter, diffs it
-    /// against the previous harvest, merges in the current subscriber
-    /// gauge, and prunes channels that are dead (no traffic since the
-    /// last harvest, no subscribers, and no publish in flight).
-    pub fn harvest(&self, subscribers: Vec<(String, u32)>) -> BrokerLoadReport {
-        let mut state = self.harvest.lock();
-        let mut channels: HashMap<String, ChannelTick> = HashMap::new();
-
-        for shard in &self.shards {
-            // Read pass under the shared lock: collect deltas.
-            let mut prunable: Vec<String> = Vec::new();
-            {
-                let guard = shard.read();
-                for (name, counters) in guard.iter() {
-                    let now = counters.read();
-                    let last = state.last.get(name).copied().unwrap_or_default();
-                    let tick = now.delta_since(&last);
-                    if tick.is_zero_delta() {
-                        prunable.push(name.clone());
-                    } else {
-                        channels.insert(name.clone(), tick);
-                    }
-                    state.last.insert(name.clone(), now);
-                }
-            }
-            if prunable.is_empty() {
-                continue;
-            }
-            // Prune pass under the write lock: a channel is removed only
-            // when the map holds the sole reference to its counters (no
-            // publish holds a clone) and nothing was counted since the
-            // read pass — so removal can never lose an increment.
-            let mut guard = shard.write();
-            for name in prunable {
-                let safe = guard.get(&name).is_some_and(|c| {
-                    Arc::strong_count(c) == 1
-                        && state.last.get(&name).copied().unwrap_or_default() == c.read()
-                });
-                if safe {
-                    guard.remove(&name);
-                    state.last.remove(&name);
-                }
-            }
-        }
-
-        // Merge the subscriber gauge: idle subscriber-bearing channels
-        // enter the report here (exactly once — the map is keyed by
-        // name), active ones get their gauge filled in.
-        for (name, subs) in subscribers {
-            channels.entry(name).or_default().subscribers = subs;
-        }
-        // Keep any entry with a nonzero field: under relaxed loads a
-        // harvest can catch a publish mid-increment and see e.g. only
-        // its bytes_out — that skewed delta still advanced the snapshot,
-        // so dropping it here would lose the bytes from the telescoped
-        // sums forever.
-        channels.retain(|_, t| {
-            t.subscribers > 0
-                || t.publications > 0
-                || t.deliveries > 0
-                || t.bytes_in > 0
-                || t.bytes_out > 0
-        });
-
-        let egress = self.egress_bytes.load(Ordering::Relaxed);
-        let ingress = self.ingress_bytes.load(Ordering::Relaxed);
-        let sent = self.sent_messages.load(Ordering::Relaxed);
-        let tick = state.tick;
-        state.tick += 1;
-        let report = BrokerLoadReport {
+impl BrokerLoadReport {
+    /// Report number `tick` over `channels`, sorted by name, with the
+    /// broker totals summed from them.
+    pub(crate) fn new(tick: u64, mut channels: Vec<(String, ChannelTick)>) -> BrokerLoadReport {
+        channels.sort_by(|a, b| a.0.cmp(&b.0));
+        let sum = |f: fn(&ChannelTick) -> u64| channels.iter().map(|(_, t)| f(t)).sum();
+        BrokerLoadReport {
             tick,
-            egress_bytes: egress - state.last_egress,
-            ingress_bytes: ingress - state.last_ingress,
-            sent_messages: sent - state.last_sent,
-            channels: {
-                let mut v: Vec<(String, ChannelTick)> = channels.into_iter().collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-        };
-        state.last_egress = egress;
-        state.last_ingress = ingress;
-        state.last_sent = sent;
-        report
-    }
-}
-
-impl ChannelTick {
-    fn is_zero_delta(&self) -> bool {
-        self.publications == 0 && self.deliveries == 0 && self.bytes_in == 0 && self.bytes_out == 0
-    }
-}
-
-impl std::fmt::Debug for BrokerLoadAnalyzer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BrokerLoadAnalyzer")
-            .field("shards", &self.shards.len())
-            .finish_non_exhaustive()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn deltas_telescope_across_harvests() {
-        let lla = BrokerLoadAnalyzer::new(4);
-        lla.note_publish("alpha", 10, 300, 3);
-        lla.note_publish("alpha", 10, 300, 3);
-        let r1 = lla.harvest(vec![("alpha".into(), 3)]);
-        assert_eq!(r1.tick, 0);
-        assert_eq!(r1.egress_bytes, 600);
-        assert_eq!(r1.ingress_bytes, 20);
-        assert_eq!(r1.sent_messages, 6);
-        let (name, t) = &r1.channels[0];
-        assert_eq!(name, "alpha");
-        assert_eq!(t.publications, 2);
-        assert_eq!(t.deliveries, 6);
-        assert_eq!(t.bytes_out, 600);
-        assert_eq!(t.subscribers, 3);
-
-        lla.note_publish("alpha", 10, 100, 1);
-        let r2 = lla.harvest(vec![("alpha".into(), 1)]);
-        assert_eq!(r2.tick, 1);
-        assert_eq!(r2.egress_bytes, 100);
-        assert_eq!(r2.channels[0].1.publications, 1);
-    }
-
-    #[test]
-    fn idle_subscriber_channels_reported_exactly_once() {
-        let lla = BrokerLoadAnalyzer::new(4);
-        let r = lla.harvest(vec![("quiet".into(), 2)]);
-        let quiet: Vec<_> = r.channels.iter().filter(|(n, _)| n == "quiet").collect();
-        assert_eq!(quiet.len(), 1);
-        assert_eq!(quiet[0].1.subscribers, 2);
-        assert_eq!(quiet[0].1.publications, 0);
-    }
-
-    /// Satellite of the live control plane: under broker_stress-style
-    /// churn — writer threads hammering overlapping channels while a
-    /// harvester snapshots mid-flight — the telescoped reports must sum
-    /// to exactly what was published (no tearing, no double counting,
-    /// no lost increments), even though harvests race the writes.
-    #[test]
-    fn counters_are_exact_under_concurrent_churn() {
-        use std::collections::HashMap;
-
-        const WRITERS: usize = 8;
-        const PER_WRITER: u64 = 20_000;
-        const CHANNELS: usize = 13; // not a power of two: shards collide
-
-        let lla = Arc::new(BrokerLoadAnalyzer::new(4));
-        let mut workers = Vec::new();
-        for w in 0..WRITERS {
-            let lla = Arc::clone(&lla);
-            workers.push(std::thread::spawn(move || {
-                for i in 0..PER_WRITER {
-                    let name = format!("ch-{}", (w as u64 + i) % CHANNELS as u64);
-                    lla.note_publish(&name, 7, 64, 2);
-                }
-            }));
+            egress_bytes: sum(|t| t.bytes_out),
+            ingress_bytes: sum(|t| t.bytes_in),
+            sent_messages: sum(|t| t.deliveries),
+            channels,
         }
-        // Harvest concurrently with the writers, accumulating the
-        // deltas; whatever the interleaving, the telescoped sum plus a
-        // final quiescent harvest must equal the ground truth.
-        let mut sums: HashMap<String, ChannelTick> = HashMap::new();
-        let mut total_egress = 0u64;
-        let mut total_ingress = 0u64;
-        let mut total_sent = 0u64;
-        let absorb = |report: BrokerLoadReport,
-                      sums: &mut HashMap<String, ChannelTick>,
-                      eg: &mut u64,
-                      ing: &mut u64,
-                      sent: &mut u64| {
-            *eg += report.egress_bytes;
-            *ing += report.ingress_bytes;
-            *sent += report.sent_messages;
-            for (name, tick) in report.channels {
-                let s = sums.entry(name).or_default();
-                s.publications += tick.publications;
-                s.deliveries += tick.deliveries;
-                s.bytes_in += tick.bytes_in;
-                s.bytes_out += tick.bytes_out;
-            }
-        };
-        while workers.iter().any(|w| !w.is_finished()) {
-            absorb(
-                lla.harvest(Vec::new()),
-                &mut sums,
-                &mut total_egress,
-                &mut total_ingress,
-                &mut total_sent,
-            );
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
-        absorb(
-            lla.harvest(Vec::new()),
-            &mut sums,
-            &mut total_egress,
-            &mut total_ingress,
-            &mut total_sent,
-        );
-
-        let published = WRITERS as u64 * PER_WRITER;
-        assert_eq!(total_ingress, published * 7);
-        assert_eq!(total_egress, published * 64);
-        assert_eq!(total_sent, published * 2);
-        let counted: u64 = sums.values().map(|t| t.publications).sum();
-        assert_eq!(counted, published, "a publication was lost or doubled");
-        for (name, t) in &sums {
-            assert_eq!(t.deliveries, t.publications * 2, "torn deltas on {name}");
-            assert_eq!(t.bytes_in, t.publications * 7, "torn deltas on {name}");
-            assert_eq!(t.bytes_out, t.publications * 64, "torn deltas on {name}");
-        }
-        assert_eq!(sums.len(), CHANNELS);
-    }
-
-    #[test]
-    fn dead_channels_are_pruned_and_resurrect_cleanly() {
-        let lla = BrokerLoadAnalyzer::new(1);
-        lla.note_publish("ephemeral", 5, 0, 0);
-        let r1 = lla.harvest(Vec::new());
-        assert_eq!(r1.channels.len(), 1);
-        // Second harvest with no traffic and no subscribers prunes it.
-        let r2 = lla.harvest(Vec::new());
-        assert!(r2.channels.is_empty());
-        assert!(lla.shards[0].read().is_empty());
-        // A later publication starts counting from zero again.
-        lla.note_publish("ephemeral", 5, 0, 0);
-        let r3 = lla.harvest(Vec::new());
-        assert_eq!(r3.channels[0].1.publications, 1);
     }
 }

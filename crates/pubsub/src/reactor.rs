@@ -27,7 +27,8 @@
 //!
 //! Time-based work — liveness deadlines for half-open connections —
 //! rides a per-loop hashed [`TimerWheel`], keeping the idle cost of a
-//! sleeping connection at one wheel entry, not a timer thread.
+//! sleeping connection at one wheel entry, not a timer thread. A loop
+//! with no timer pending polls with no timeout: idle, it never wakes.
 //!
 //! Shutdown needs no self-connect trick: the broker flips `running`
 //! and wakes every loop; each loop then drains its connections' queued
@@ -61,10 +62,8 @@ const TOKEN_BASE: usize = 2;
 /// (level-triggered epoll re-reports it on the next poll).
 const READ_BUDGET: usize = 256 * 1024;
 /// Timer wheel resolution; also the poll timeout while timers pend.
+/// With none pending the loop blocks until readiness or its waker.
 const TIMER_TICK: Duration = Duration::from_millis(50);
-/// Poll timeout with no timers pending (pure backstop: all work
-/// arrives via readiness events or the waker).
-const IDLE_POLL: Duration = Duration::from_millis(250);
 
 fn token_of(conn: u64) -> Token {
     Token(conn as usize + TOKEN_BASE)
@@ -265,17 +264,13 @@ impl ReactorLoop {
                     break;
                 }
                 if inbox.has_work() {
-                    Duration::ZERO
+                    Some(Duration::ZERO)
                 } else {
                     inbox.asleep = true;
-                    if self.wheel.len() > 0 {
-                        self.wheel.tick()
-                    } else {
-                        IDLE_POLL
-                    }
+                    (self.wheel.len() > 0).then(|| self.wheel.tick())
                 }
             };
-            let poll_result = self.poll.poll(&mut events, Some(timeout));
+            let poll_result = self.poll.poll(&mut events, timeout);
             self.me.inbox.lock().asleep = false;
             if poll_result.is_err() {
                 // epoll itself failing is unrecoverable in kind but

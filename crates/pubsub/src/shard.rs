@@ -23,6 +23,15 @@
 //! in the publisher's snapshot (and the frame arrives live, not in the
 //! replayed suffix).
 //!
+//! The entry is also where the broker measures the channel: it carries
+//! the channel's cumulative load counters ([`crate::load`]) and its
+//! last-harvest snapshot, so PUBLISH counts on the entry it already
+//! holds and [`ShardedIndex::load_report`] walks this one table. An
+//! entry leaves its shard only when nothing would be lost: no
+//! subscriber, no retained history, no un-harvested count, and no
+//! in-flight command holding it ([`ShardedIndex::unsubscribe`] and the
+//! harvest apply the same rule).
+//!
 //! Entries are keyed by the full channel name, not a hash of it: a
 //! 64-bit name-hash collision must never merge two channels' subscriber
 //! sets (the seed broker's interned-`Channel(hash)` index silently
@@ -30,10 +39,13 @@
 //! colliding names land in the same shard but remain distinct keys.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::balance::metrics::ChannelTick;
+use crate::load::{BrokerLoadReport, LoadCounters, Totals};
 use crate::outbox::OutboxSender;
 
 /// One subscriber's entry in a channel snapshot.
@@ -61,37 +73,75 @@ struct ChannelInner {
     /// bounded by the index's retention caps.
     ring: VecDeque<(u64, Arc<[u8]>)>,
     ring_bytes: usize,
+    /// The load counters as the previous harvest read them.
+    harvested: Totals,
 }
 
-/// One channel's slot in a shard map: a mutex around the snapshot,
-/// sequence counter and retention ring. Cloning the `Arc<ChannelEntry>`
-/// under the shard read lock lets the publish path leave the shard
-/// immediately.
+/// One channel's slot in a shard map: its interned name, its load
+/// counters, and a mutex around the snapshot, sequence counter and
+/// retention ring. Cloning the `Arc<ChannelEntry>` under the shard read
+/// lock lets the publish path leave the shard immediately.
 struct ChannelEntry {
+    /// The shard key, shared as every fan-out's conflation key.
+    name: Arc<str>,
+    load: LoadCounters,
     inner: Mutex<ChannelInner>,
 }
 
 impl ChannelEntry {
-    fn new() -> Arc<ChannelEntry> {
+    fn new(name: Arc<str>) -> Arc<ChannelEntry> {
         Arc::new(ChannelEntry {
+            name,
+            load: LoadCounters::default(),
             inner: Mutex::new(ChannelInner {
                 subs: Arc::new(Vec::new()),
                 next_seq: 0,
                 ring: VecDeque::new(),
                 ring_bytes: 0,
+                harvested: Totals::default(),
             }),
         })
     }
+
+    /// Whether dropping this entry from its shard loses nothing: no
+    /// subscriber, no retained history, no un-harvested count, and no
+    /// reference but the shard's own (an in-flight publish or subscribe
+    /// holds a clone). Checked under the shard's write lock, so no new
+    /// clone can appear meanwhile.
+    fn prunable(self: &Arc<Self>, inner: &ChannelInner) -> bool {
+        if !inner.subs.is_empty() || inner.next_seq != 0 || Arc::strong_count(self) != 1 {
+            return false;
+        }
+        // Pairs with the release of the last other clone's drop: the
+        // counts it made are visible to the read below.
+        fence(Ordering::Acquire);
+        self.load.read() == inner.harvested
+    }
 }
 
-type Shard = RwLock<HashMap<String, Arc<ChannelEntry>>>;
+type Shard = RwLock<HashMap<Arc<str>, Arc<ChannelEntry>>>;
 
 /// What one publish must fan out: the subscriber snapshot taken under
 /// the channel mutex, and the sequence assigned to the frame (when
-/// retention is enabled).
+/// retention is enabled). It holds the channel's entry until
+/// [`Self::count`], so the harvest cannot prune it mid-publish.
 pub(crate) struct PublishFanout {
     pub subs: ChannelSnapshot,
     pub seq: Option<u64>,
+    entry: Arc<ChannelEntry>,
+}
+
+impl PublishFanout {
+    /// The channel's interned name: the conflation key of every push.
+    pub fn channel(&self) -> &Arc<str> {
+        &self.entry.name
+    }
+
+    /// Counts the finished fan-out on its channel: `bytes_in` received,
+    /// `bytes_out` of frames handed to `delivered` outboxes.
+    pub fn count(self, bytes_in: u64, bytes_out: u64, delivered: u64) {
+        self.entry.load.note(bytes_in, bytes_out, delivered);
+    }
 }
 
 /// The retained suffix and gap verdict of a subscribe-with-resume.
@@ -117,6 +167,8 @@ pub(crate) struct ShardedIndex {
     /// is enabled only when both are non-zero.
     retention_frames: usize,
     retention_bytes: usize,
+    /// Number of the next load report.
+    reports: AtomicU64,
 }
 
 /// FNV-1a over the channel name; used only to pick a shard.
@@ -140,6 +192,7 @@ impl ShardedIndex {
             shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
             retention_frames,
             retention_bytes,
+            reports: AtomicU64::new(0),
         }
     }
 
@@ -154,15 +207,18 @@ impl ShardedIndex {
     /// Looks up `name`'s entry, creating it when absent. Lock order is
     /// always shard → entry, here and everywhere below.
     fn entry_or_create(&self, name: &str) -> Arc<ChannelEntry> {
-        if let Some(entry) = self.shard(name).read().get(name) {
+        let shard = self.shard(name);
+        if let Some(entry) = shard.read().get(name) {
             return Arc::clone(entry);
         }
-        let mut shard = self.shard(name).write();
-        Arc::clone(
-            shard
-                .entry(name.to_owned())
-                .or_insert_with(ChannelEntry::new),
-        )
+        let mut shard = shard.write();
+        if let Some(entry) = shard.get(name) {
+            return Arc::clone(entry);
+        }
+        let name: Arc<str> = name.into();
+        let entry = ChannelEntry::new(Arc::clone(&name));
+        shard.insert(name, Arc::clone(&entry));
+        entry
     }
 
     /// The subscriber snapshot of `name`, if any subscriber is
@@ -182,36 +238,33 @@ impl ShardedIndex {
     /// sequence, appends it to the retention ring (evicting oldest past
     /// the caps) and returns the subscriber snapshot to fan out to —
     /// all under the channel mutex, so the snapshot/ring hand-off to
-    /// concurrent resumes is exactly-once. With retention disabled this
-    /// is the old read-mostly path: no sequence, no ring, no entry
-    /// created for subscriber-less channels.
+    /// concurrent resumes is exactly-once. With retention disabled there
+    /// is no sequence and no ring. The entry exists even when nobody
+    /// subscribes: it counts the channel's load, and retention holds
+    /// frames for subscribers that are *not here yet*.
     pub fn publish(&self, name: &str, payload: &[u8]) -> PublishFanout {
-        if !self.retention_enabled() {
-            return PublishFanout {
-                subs: self.snapshot(name).unwrap_or_else(|| Arc::new(Vec::new())),
-                seq: None,
-            };
-        }
-        // Retention holds frames for subscribers that are *not here
-        // yet*, so the entry must exist even when nobody subscribes.
         let entry = self.entry_or_create(name);
         let mut inner = entry.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let frame: Arc<[u8]> = payload.into();
-        inner.ring_bytes += frame.len();
-        inner.ring.push_back((seq, frame));
-        while inner.ring.len() > self.retention_frames || inner.ring_bytes > self.retention_bytes {
-            if let Some((_, old)) = inner.ring.pop_front() {
-                inner.ring_bytes -= old.len();
-            } else {
-                break;
+        let seq = self.retention_enabled().then(|| {
+            let seq = inner.next_seq;
+            inner.next_seq += 1;
+            let frame: Arc<[u8]> = payload.into();
+            inner.ring_bytes += frame.len();
+            inner.ring.push_back((seq, frame));
+            while inner.ring.len() > self.retention_frames
+                || inner.ring_bytes > self.retention_bytes
+            {
+                if let Some((_, old)) = inner.ring.pop_front() {
+                    inner.ring_bytes -= old.len();
+                } else {
+                    break;
+                }
             }
-        }
-        PublishFanout {
-            subs: Arc::clone(&inner.subs),
-            seq: Some(seq),
-        }
+            seq
+        });
+        let subs = Arc::clone(&inner.subs);
+        drop(inner);
+        PublishFanout { subs, seq, entry }
     }
 
     /// Adds `sub` to `name`'s snapshot (replacing any previous
@@ -296,10 +349,10 @@ impl ShardedIndex {
     }
 
     /// Removes connection `conn` from `name`'s snapshot. The channel
-    /// entry is dropped only when no subscriber remains *and* the
-    /// channel has never been published sequenced — an entry with
-    /// history keeps its (bounded) ring so disconnected clients can
-    /// still resume.
+    /// entry is dropped only when that loses nothing (see the module
+    /// docs): an entry with history keeps its (bounded) ring so
+    /// disconnected clients can still resume, and one with counts the
+    /// harvest has not read keeps them for the next report.
     pub fn unsubscribe(&self, name: &str, conn: u64) {
         let mut shard = self.shard(name).write();
         if let Some(entry) = shard.get(name) {
@@ -310,9 +363,8 @@ impl ShardedIndex {
                 .filter(|s| s.conn != conn)
                 .cloned()
                 .collect();
-            let empty = next.is_empty();
             inner.subs = Arc::new(next);
-            let dead = empty && inner.next_seq == 0;
+            let dead = entry.prunable(&inner);
             drop(inner);
             if dead {
                 shard.remove(name);
@@ -337,22 +389,40 @@ impl ShardedIndex {
         }
     }
 
-    /// Every channel currently holding at least one subscriber, with its
-    /// subscriber count — the load analyzer's harvest-time gauge. Locks
-    /// one shard at a time (shared), so the snapshot is per-shard
-    /// consistent and never blocks the publish path.
-    pub fn channels_with_subscribers(&self) -> Vec<(String, u32)> {
-        let mut out = Vec::new();
+    /// Closes one load interval: diffs every entry's counters against
+    /// its previous harvest, reads its subscriber gauge in the same
+    /// pass, and prunes the entries that lose nothing by going. Each
+    /// shard is read under its shared lock; only a shard with a
+    /// prunable entry is then taken exclusively.
+    pub fn load_report(&self) -> BrokerLoadReport {
+        let tick = self.reports.fetch_add(1, Ordering::Relaxed);
+        let mut channels = Vec::new();
         for shard in &self.shards {
-            let guard = shard.read();
-            for (name, entry) in guard.iter() {
-                let n = entry.inner.lock().subs.len();
-                if n > 0 {
-                    out.push((name.clone(), n as u32));
+            let mut prune = false;
+            for (name, entry) in shard.read().iter() {
+                let mut inner = entry.inner.lock();
+                let now = entry.load.read();
+                let delta = now.delta_since(&inner.harvested, inner.subs.len() as u32);
+                inner.harvested = now;
+                // Keep any entry with a nonzero field: under relaxed
+                // loads a harvest can catch a publish mid-increment and
+                // see e.g. only its bytes_in — that skewed delta already
+                // advanced the snapshot, so dropping it here would lose
+                // the bytes from the telescoped sums forever.
+                if delta == ChannelTick::default() {
+                    prune = true;
+                } else {
+                    channels.push((name.to_string(), delta));
                 }
             }
+            if prune {
+                shard.write().retain(|_, entry| {
+                    let inner = entry.inner.lock();
+                    !entry.prunable(&inner)
+                });
+            }
         }
-        out
+        BrokerLoadReport::new(tick, channels)
     }
 
     /// Total number of (channel, subscriber) pairs across all shards.
@@ -444,10 +514,11 @@ mod tests {
             assert_eq!(fanout.seq, Some(i as u64));
         }
         assert_eq!(index.retained("ch"), (3, 3));
-        // No subscriber yet, but the entry retains — and is invisible
-        // to the load gauge.
+        // No subscriber yet, but the entry retains — and the load gauge
+        // reads zero.
         assert_eq!(index.channel_subscribers("ch"), 0);
-        assert!(index.channels_with_subscribers().is_empty());
+        let report = index.load_report();
+        assert!(report.channels.iter().all(|(_, t)| t.subscribers == 0));
     }
 
     #[test]
@@ -527,5 +598,181 @@ mod tests {
         let out = index.subscribe("ch", sub(1, true), Some(0));
         assert_eq!(out.replay.len(), 1);
         assert_eq!(out.gap, None);
+    }
+
+    /// Publishes on `name` and counts it as the broker does: `bytes_in`
+    /// received, `bytes_out` of frames handed to `delivered` outboxes.
+    fn publish_counted(
+        index: &ShardedIndex,
+        name: &str,
+        bytes_in: u64,
+        bytes_out: u64,
+        delivered: u64,
+    ) {
+        index
+            .publish(name, b"x")
+            .count(bytes_in, bytes_out, delivered);
+    }
+
+    #[test]
+    fn deltas_telescope_across_harvests() {
+        let index = plain_index(4);
+        for conn in 1..=3 {
+            index.subscribe("alpha", sub(conn, false), None);
+        }
+        publish_counted(&index, "alpha", 10, 300, 3);
+        publish_counted(&index, "alpha", 10, 300, 3);
+        let r1 = index.load_report();
+        assert_eq!(r1.tick, 0);
+        assert_eq!(r1.egress_bytes, 600);
+        assert_eq!(r1.ingress_bytes, 20);
+        assert_eq!(r1.sent_messages, 6);
+        let (name, t) = &r1.channels[0];
+        assert_eq!(name, "alpha");
+        assert_eq!(t.publications, 2);
+        assert_eq!(t.deliveries, 6);
+        assert_eq!(t.bytes_out, 600);
+        assert_eq!(t.subscribers, 3);
+
+        index.unsubscribe("alpha", 2);
+        index.unsubscribe("alpha", 3);
+        publish_counted(&index, "alpha", 10, 100, 1);
+        let r2 = index.load_report();
+        assert_eq!(r2.tick, 1);
+        assert_eq!(r2.egress_bytes, 100);
+        assert_eq!(r2.channels[0].1.publications, 1);
+    }
+
+    #[test]
+    fn idle_subscriber_channels_reported_exactly_once() {
+        let index = plain_index(4);
+        index.subscribe("quiet", sub(1, false), None);
+        index.subscribe("quiet", sub(2, false), None);
+        let r = index.load_report();
+        let quiet: Vec<_> = r.channels.iter().filter(|(n, _)| n == "quiet").collect();
+        assert_eq!(quiet.len(), 1);
+        assert_eq!(quiet[0].1.subscribers, 2);
+        assert_eq!(quiet[0].1.publications, 0);
+    }
+
+    /// Writer threads hammering overlapping channels while a harvester
+    /// snapshots mid-flight: the telescoped reports must sum to exactly
+    /// what was published (no tearing, no double counting, no lost
+    /// increments). Retention is off and nobody subscribes, so every
+    /// harvest that finds a channel quiet tries to prune it while the
+    /// writers race to publish on it.
+    #[test]
+    fn counters_are_exact_under_concurrent_churn() {
+        const WRITERS: usize = 8;
+        const PER_WRITER: u64 = 20_000;
+        const CHANNELS: usize = 13; // not a power of two: shards collide
+
+        let index = Arc::new(plain_index(4));
+        let mut workers = Vec::new();
+        for w in 0..WRITERS {
+            let index = Arc::clone(&index);
+            workers.push(std::thread::spawn(move || {
+                for i in 0..PER_WRITER {
+                    let name = format!("ch-{}", (w as u64 + i) % CHANNELS as u64);
+                    publish_counted(&index, &name, 7, 64, 2);
+                }
+            }));
+        }
+        // Harvest concurrently with the writers, accumulating the
+        // deltas; whatever the interleaving, the telescoped sum plus a
+        // final quiescent harvest must equal the ground truth.
+        let mut sums: HashMap<String, ChannelTick> = HashMap::new();
+        let mut total_egress = 0u64;
+        let mut total_ingress = 0u64;
+        let mut total_sent = 0u64;
+        let mut absorb = |report: BrokerLoadReport| {
+            total_egress += report.egress_bytes;
+            total_ingress += report.ingress_bytes;
+            total_sent += report.sent_messages;
+            for (name, tick) in report.channels {
+                sums.entry(name).or_default().merge(&tick);
+            }
+        };
+        while workers.iter().any(|w| !w.is_finished()) {
+            absorb(index.load_report());
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        absorb(index.load_report());
+
+        let published = WRITERS as u64 * PER_WRITER;
+        assert_eq!(total_ingress, published * 7);
+        assert_eq!(total_egress, published * 64);
+        assert_eq!(total_sent, published * 2);
+        let counted: u64 = sums.values().map(|t| t.publications).sum();
+        assert_eq!(counted, published, "a publication was lost or doubled");
+        for (name, t) in &sums {
+            assert_eq!(t.deliveries, t.publications * 2, "torn deltas on {name}");
+            assert_eq!(t.bytes_in, t.publications * 7, "torn deltas on {name}");
+            assert_eq!(t.bytes_out, t.publications * 64, "torn deltas on {name}");
+        }
+        assert_eq!(sums.len(), CHANNELS);
+    }
+
+    #[test]
+    fn dead_channels_are_pruned_and_resurrect_cleanly() {
+        let index = plain_index(1);
+        publish_counted(&index, "ephemeral", 5, 0, 0);
+        let r1 = index.load_report();
+        assert_eq!(r1.channels.len(), 1);
+        // Second harvest with no traffic and no subscribers prunes it.
+        let r2 = index.load_report();
+        assert!(r2.channels.is_empty());
+        assert!(index.shards[0].read().is_empty());
+        // A later publication starts counting from zero again.
+        publish_counted(&index, "ephemeral", 5, 0, 0);
+        let r3 = index.load_report();
+        assert_eq!(r3.channels[0].1.publications, 1);
+    }
+
+    #[test]
+    fn report_totals_are_the_sums_of_the_channel_deltas() {
+        let index = ShardedIndex::new(4, 8, 1 << 20);
+        index.subscribe("a", sub(1, false), None);
+        index.subscribe("b", sub(2, true), None);
+        index.subscribe("idle", sub(3, false), None);
+        for (name, bytes_in, bytes_out, delivered) in [
+            ("a", 3, 40, 1),
+            ("b", 9, 50, 1),
+            ("a", 4, 40, 1),
+            ("nobody", 6, 0, 0),
+        ] {
+            publish_counted(&index, name, bytes_in, bytes_out, delivered);
+        }
+        for report in [index.load_report(), index.load_report()] {
+            let sum = |f: fn(&ChannelTick) -> u64| report.channels.iter().map(|(_, t)| f(t)).sum();
+            assert_eq!(report.egress_bytes, sum(|t| t.bytes_out));
+            assert_eq!(report.ingress_bytes, sum(|t| t.bytes_in));
+            assert_eq!(report.sent_messages, sum(|t| t.deliveries));
+        }
+    }
+
+    /// On a retention-off broker no history keeps a subscriber-less
+    /// entry alive: the last unsubscribe must still leave it until the
+    /// harvest has read its counts, and an in-flight publish's too.
+    #[test]
+    fn last_unsubscribe_between_harvests_loses_no_count() {
+        let index = plain_index(1);
+        index.subscribe("ch", sub(1, false), None);
+        publish_counted(&index, "ch", 10, 50, 1);
+        index.load_report();
+        publish_counted(&index, "ch", 10, 50, 1);
+        // A publish still in flight when the subscriber leaves.
+        let in_flight = index.publish("ch", b"x");
+        index.unsubscribe("ch", 1);
+        in_flight.count(10, 50, 1);
+        let report = index.load_report();
+        let (name, t) = &report.channels[0];
+        assert_eq!(name, "ch");
+        assert_eq!((t.publications, t.deliveries, t.subscribers), (2, 2, 0));
+        // Now everything is harvested, and the next harvest prunes it.
+        assert!(index.load_report().channels.is_empty());
+        assert!(index.shards[0].read().is_empty());
     }
 }

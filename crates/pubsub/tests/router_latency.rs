@@ -1,4 +1,4 @@
-//! The delivery path's thread budget, pinned by five tests:
+//! The delivery path's thread budget, pinned by six tests:
 //!
 //! - a publication that reaches the broker reaches
 //!   [`RoutedClient::try_message`] without waiting for anything but the
@@ -9,6 +9,8 @@
 //!   with no channel state does not wake, a load reporter (`dm-reporter`)
 //!   and the balancer (`dm-balancer`) wake once per report interval, and
 //!   each stops at once;
+//! - an idle broker's event loops (`broker-io-*`) block until work
+//!   arrives, and still stop at once;
 //! - tearing a connection down is the control thread's job even when
 //!   the verdict arrives on the very connection it condemns;
 //! - a connection cut in the middle of a batched flush returns the
@@ -257,6 +259,42 @@ fn idle_control_plane_sleeps_and_stops_at_once() {
         for broker in brokers {
             broker.shutdown();
         }
+    });
+}
+
+/// An idle broker's event loops have no timer pending, so they block in
+/// their poll until readiness or their waker: a `broker-io-*` thread
+/// does not wake (with a 250 ms backstop timeout it woke ≈ 4 times a
+/// second), and shutdown still reaches it at once through the waker.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_broker_loops_sleep_and_stop_at_once() {
+    with_deadline(60, || {
+        let others: Vec<String> = threads().into_iter().map(|(tid, _)| tid).collect();
+        let broker = TcpBroker::bind("127.0.0.1:0").expect("bind broker");
+        // Let every loop reach its first poll before counting.
+        std::thread::sleep(Duration::from_millis(100));
+        let loops: Vec<(String, u64)> = threads()
+            .into_iter()
+            .filter(|(tid, name)| name.starts_with("broker-io-") && !others.contains(tid))
+            .map(|(tid, _)| {
+                let before = voluntary_switches(&tid);
+                (tid, before)
+            })
+            .collect();
+        assert_eq!(loops.len(), broker.io_loops(), "loops: {loops:?}");
+        std::thread::sleep(Duration::from_secs(1));
+        for (tid, before) in &loops {
+            let woke = voluntary_switches(tid) - before;
+            assert!(woke <= 1, "idle broker-io thread woke {woke} times in 1 s");
+        }
+        let stopping = Instant::now();
+        broker.shutdown();
+        let took = stopping.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "broker shutdown took {took:?}"
+        );
     });
 }
 

@@ -24,8 +24,10 @@
 //!   `Arc` subscriber snapshot under a shared lock and fans out with no
 //!   lock held, so concurrent publishers never serialize behind each
 //!   other or behind subscription churn on other channels;
-//! - the push frame is encoded exactly once per publish and shared as
-//!   an `Arc<[u8]>` by every outbox — per-subscriber cost is a
+//! - commands are read in place from the connection's buffer, and the
+//!   push frame is written once per publish (and delivery variant)
+//!   straight from the channel and payload slices, then shared as an
+//!   `Arc<[u8]>` by every outbox — per-subscriber cost is a
 //!   reference-count bump and a bounded-queue push;
 //! - publishing stays on the caller's thread: only the first push onto
 //!   an empty outbox signals the subscriber's home loop, so a burst of
@@ -562,12 +564,27 @@ fn send_value(out: &OutboxSender, value: &Value) -> bool {
     out.push(encode_frame(value))
 }
 
-/// Executes one client command; returns `false` to close the
-/// connection. Runs on the connection's home reactor loop; replies go
-/// through the outbox like any delivery, so ordering with concurrent
+/// The `message` push of `header ++ payload` on `channel`, written into
+/// `scratch` and copied once into the frame every outbox shares.
+fn push_frame(scratch: &mut Vec<u8>, channel: &[u8], header: &[u8], payload: &[u8]) -> Frame {
+    scratch.clear();
+    resp::message_frame(scratch, channel, header, payload);
+    Frame::from(&scratch[..])
+}
+
+/// Executes one client command, read in place from the connection's
+/// buffer (`Err` carries the error reply for a frame that is not one);
+/// returns `false` to close the connection. Runs on the connection's
+/// home reactor loop, which lends `scratch` to encode pushes in; replies
+/// go through the outbox like any delivery, so ordering with concurrent
 /// publishes is the queue order.
-pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &BrokerShared) -> bool {
-    let command = match resp::parse_command(value) {
+pub(crate) fn handle_command(
+    state: &Arc<ConnState>,
+    command: Result<Command<'_>, String>,
+    shared: &BrokerShared,
+    scratch: &mut Vec<u8>,
+) -> bool {
+    let command = match command {
         Ok(c) => c,
         Err(msg) => return send_value(&state.outbox, &Value::Error(msg)),
     };
@@ -575,25 +592,26 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
         Command::Ping => send_value(&state.outbox, &Value::Simple("PONG".into())),
         Command::Subscribe(channels) => {
             for arg in channels {
+                let arg = String::from_utf8_lossy(arg);
                 // A `DMSEQ1;<from|->;<name>` argument asks for sequenced
                 // delivery and, with an explicit `from`, a replay of the
                 // retained suffix; a plain argument subscribes plainly.
                 let (name, from, sequenced) = match wire::parse_subscribe_arg(&arg) {
-                    Some((name, from)) => (name.to_owned(), from, true),
-                    None => (arg, None, false),
+                    Some((name, from)) => (name, from, true),
+                    None => (&*arg, None, false),
                 };
                 let (count, outcome) = {
                     let mut subscribed = state.channels.lock();
                     if state.dead.load(Ordering::SeqCst) {
                         return false;
                     }
-                    subscribed.insert(name.clone());
+                    subscribed.insert(name.to_owned());
                     // Always (re)register: a repeated SUBSCRIBE may
                     // upgrade a plain subscription to a sequenced one or
                     // move its resume point (the post-reconnect and
                     // switch-migration paths re-subscribe in place).
                     let outcome = shared.index.subscribe(
-                        &name,
+                        name,
                         SubscriberRef {
                             conn: state.conn,
                             outbox: state.outbox.clone(),
@@ -605,41 +623,43 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
                 };
                 if !send_value(
                     &state.outbox,
-                    &resp::subscription_push("subscribe", &name, count),
+                    &resp::subscription_push("subscribe", name, count),
                 ) {
                     return false;
                 }
+                let mut push = |header: &[u8], payload: &[u8]| {
+                    let frame = push_frame(scratch, name.as_bytes(), header, payload);
+                    state.outbox.push(frame)
+                };
                 if let Some((requested, resume_from)) = outcome.gap {
-                    let gap = resp::message_push(&name, &wire::gap(requested, resume_from));
-                    if !send_value(&state.outbox, &gap) {
+                    if !push(b"", &wire::gap(requested, resume_from)) {
                         return false;
                     }
                 }
                 let replayed = outcome.replay.len() as u64;
                 for (s, payload) in outcome.replay {
-                    let push = resp::message_push(&name, &wire::sequenced(s, &payload));
-                    if !send_value(&state.outbox, &push) {
+                    if !push(&wire::sequenced_header(s), &payload) {
                         return false;
                     }
                 }
                 // An explicit resume gets a completion marker even when
                 // nothing was replayed, so the client can surface
                 // `Resumed` deterministically.
-                if outcome.sequenced && from.is_some() {
-                    let done =
-                        resp::message_push(&name, &wire::resumed(replayed, outcome.next_seq));
-                    if !send_value(&state.outbox, &done) {
-                        return false;
-                    }
+                if outcome.sequenced
+                    && from.is_some()
+                    && !push(b"", &wire::resumed(replayed, outcome.next_seq))
+                {
+                    return false;
                 }
             }
             true
         }
         Command::Unsubscribe(channels) => {
             for name in channels {
+                let name = String::from_utf8_lossy(name);
                 let count = {
                     let mut subscribed = state.channels.lock();
-                    if subscribed.remove(&name) {
+                    if subscribed.remove(&*name) {
                         shared.index.unsubscribe(&name, state.conn);
                     }
                     subscribed.len() as i64
@@ -654,10 +674,11 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
             true
         }
         Command::Publish(name, payload) => {
+            let name = String::from_utf8_lossy(name);
             // Sequence assignment and snapshot capture happen together
             // under the channel mutex; the fan-out below holds no lock.
-            let fanout = shared.index.publish(&name, &payload);
-            let mut delivered = 0i64;
+            let fanout = shared.index.publish(&name, payload);
+            let mut delivered = 0usize;
             let mut overflowed: Vec<u64> = Vec::new();
             let mut sent_bytes = 0u64;
             // Encode each delivery variant at most once; every outbox
@@ -671,11 +692,11 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
             for sub in fanout.subs.iter() {
                 let frame = if sub.sequenced {
                     seqed.get_or_insert_with(|| {
-                        let body = wire::sequenced(fanout.seq.unwrap_or(0), &payload);
-                        encode_frame(&resp::message_push(&name, &body))
+                        let header = wire::sequenced_header(fanout.seq.unwrap_or(0));
+                        push_frame(scratch, name.as_bytes(), &header, payload)
                     })
                 } else {
-                    plain.get_or_insert_with(|| encode_frame(&resp::message_push(&name, &payload)))
+                    plain.get_or_insert_with(|| push_frame(scratch, name.as_bytes(), b"", payload))
                 };
                 if sub
                     .outbox
@@ -704,7 +725,7 @@ pub(crate) fn handle_command(state: &Arc<ConnState>, value: &Value, shared: &Bro
                     }
                 }
             }
-            send_value(&state.outbox, &Value::Integer(delivered))
+            state.outbox.push(resp::ack(delivered))
         }
     }
 }

@@ -75,7 +75,7 @@
 //! reads the mark after its push, so no push is left asleep.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -86,7 +86,8 @@ use dynamoth_sim::SimRng;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 
-use crate::resp::{self, Value};
+use crate::readbuf::ReadBuf;
+use crate::resp::{self, ServerFrame};
 use crate::timing::Timing;
 use crate::wire::{self, Delivery};
 
@@ -373,63 +374,6 @@ fn next_tick(now: Instant, period: Duration) -> Instant {
 /// The worker's poll tokens: its connection and the callers' waker.
 const SOCKET: Token = Token(0);
 const WAKE: Token = Token(1);
-
-/// Starting size of a connection's read buffer; it doubles whenever a
-/// frame does not fit.
-const READ_BUF_INIT: usize = 16 * 1024;
-
-/// A connection's receive buffer: filled at the tail by `read`, consumed
-/// at the head by cursor, so decoding a frame moves no bytes.
-struct ReadBuf {
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-}
-
-impl ReadBuf {
-    fn new() -> ReadBuf {
-        ReadBuf {
-            buf: vec![0; READ_BUF_INIT],
-            start: 0,
-            end: 0,
-        }
-    }
-
-    /// Reads once from `stream` into the free tail.
-    fn fill(&mut self, stream: &mut impl Read) -> std::io::Result<usize> {
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-        }
-        if self.cramped() && self.start > 0 {
-            // A partial frame at the tail: move it to the front.
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        if self.cramped() {
-            // The frame in progress is larger than the buffer.
-            self.buf.resize(self.buf.len() * 2, 0);
-        }
-        let n = stream.read(&mut self.buf[self.end..])?;
-        self.end += n;
-        Ok(n)
-    }
-
-    /// Less than a quarter of the buffer is free behind the data.
-    fn cramped(&self) -> bool {
-        self.buf.len() - self.end < self.buf.len() / 4
-    }
-
-    /// The bytes not yet consumed.
-    fn unread(&self) -> &[u8] {
-        &self.buf[self.start..self.end]
-    }
-
-    fn consume(&mut self, used: usize) {
-        self.start += used;
-    }
-}
 
 enum Cmd {
     Subscribe {
@@ -1021,11 +965,11 @@ impl Worker {
             Ok(_) => {
                 s.last_rx = Instant::now();
                 s.got_data = true;
-                while let Some((value, used)) =
-                    resp::decode(s.rbuf.unread()).map_err(|_| DisconnectReason::Protocol)?
+                while let Some((frame, used)) = resp::read_server_frame(s.rbuf.unread())
+                    .map_err(|_| DisconnectReason::Protocol)?
                 {
+                    self.handle_frame(frame);
                     s.rbuf.consume(used);
-                    self.handle_frame(value);
                 }
                 self.sink.read_end();
             }
@@ -1049,25 +993,12 @@ impl Worker {
         false
     }
 
-    /// Interprets one server frame.
-    fn handle_frame(&mut self, value: Value) {
-        match value {
-            Value::Array(Some(items)) => {
-                let kind = match items.first() {
-                    Some(Value::Bulk(Some(k))) => k.as_slice(),
-                    _ => return,
-                };
-                if kind != b"message" || items.len() != 3 {
-                    return; // subscribe/unsubscribe confirmations etc.
-                }
-                let channel = match &items[1] {
-                    Value::Bulk(Some(c)) => String::from_utf8_lossy(c).into_owned(),
-                    _ => return,
-                };
-                let payload = match &items[2] {
-                    Value::Bulk(Some(p)) => p.as_slice(),
-                    _ => return,
-                };
+    /// Interprets one server frame, read in place: a `message` push
+    /// costs only the channel and payload its [`Message`] owns.
+    fn handle_frame(&mut self, frame: ServerFrame<'_>) {
+        match frame {
+            ServerFrame::Message { channel, payload } => {
+                let channel = String::from_utf8_lossy(channel).into_owned();
                 // Resume-protocol markers arrive as unicast pushes on the
                 // channel; they never reach the normal delivery path.
                 let (broker_seq, payload) = match wire::delivery(payload) {
@@ -1122,7 +1053,7 @@ impl Worker {
             }
             // Publish acknowledgement (receiver count). Replies on one
             // connection are FIFO, so it acks the oldest in flight.
-            Value::Integer(_) => {
+            ServerFrame::Integer(_) => {
                 self.unacked.pop_front();
             }
             // An error reply deliberately acks nothing: a broker that
@@ -1133,7 +1064,7 @@ impl Worker {
             // did not is a lost message.
             // +PONG, -ERR and anything else: receipt already fed
             // liveness.
-            _ => {}
+            ServerFrame::Other => {}
         }
     }
 
@@ -1307,48 +1238,6 @@ mod tests {
             arg(Some(42), Some(9)).subscribe_arg("ch"),
             wire::subscribe_arg("ch", Some(42))
         );
-    }
-
-    #[test]
-    fn read_buf_keeps_frames_intact_across_compaction_and_growth() {
-        // Frames from 1 B to several buffers long, back to back, arriving
-        // in reads that split them anywhere.
-        let bodies: Vec<Vec<u8>> = [1, 700, 5_000, 3 * READ_BUF_INIT, 9, 20_000, 64]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| vec![b'a' + i as u8; len])
-            .collect();
-        let mut wire = Vec::new();
-        for body in &bodies {
-            resp::encode(&Value::bulk(body.clone()), &mut wire);
-        }
-        /// Yields at most 3 000 bytes per read.
-        struct Trickle<'a>(&'a [u8]);
-        impl Read for Trickle<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                let n = self.0.len().min(buf.len()).min(3_000);
-                buf[..n].copy_from_slice(&self.0[..n]);
-                self.0 = &self.0[n..];
-                Ok(n)
-            }
-        }
-        let mut src = Trickle(&wire);
-        let mut rbuf = ReadBuf::new();
-        let mut decoded = Vec::new();
-        while rbuf.fill(&mut src).expect("read") > 0 {
-            while let Some((value, used)) = resp::decode(rbuf.unread()).expect("valid") {
-                rbuf.consume(used);
-                decoded.push(value);
-            }
-        }
-        let expected: Vec<Value> = bodies.into_iter().map(Value::bulk).collect();
-        assert_eq!(decoded, expected);
-        assert!(rbuf.unread().is_empty());
-        assert!(
-            rbuf.buf.len() > 3 * READ_BUF_INIT,
-            "grew for the long frame"
-        );
-        assert!(rbuf.buf.len() <= 8 * READ_BUF_INIT, "and only as needed");
     }
 
     #[test]

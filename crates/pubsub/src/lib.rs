@@ -41,6 +41,7 @@ pub mod load;
 mod outbox;
 pub mod plan;
 mod reactor;
+mod readbuf;
 pub mod resp;
 pub mod router;
 mod server;

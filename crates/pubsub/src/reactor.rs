@@ -3,8 +3,8 @@
 //! Each [`ReactorLoop`] is one OS thread owning one `epoll` instance
 //! and a disjoint set of connections, pinned at accept time to the
 //! least-loaded loop and never migrated. The loop does everything for
-//! its connections — non-blocking reads feeding the RESP decoder with
-//! a per-connection partial-frame buffer, command execution, and
+//! its connections — non-blocking reads into a per-connection buffer,
+//! commands read and executed in place in it, and
 //! draining outboxes with vectored writes on writability — so a broker
 //! serves any number of connections on exactly `io_loops` threads
 //! instead of two threads per connection.
@@ -36,7 +36,7 @@
 //! sockets and exiting.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -47,6 +47,7 @@ use parking_lot::Mutex;
 
 use crate::broker::{encode_frame, handle_command, BrokerShared, ConnState};
 use crate::outbox::{Flush, LoopIoStats, OutboxSender};
+use crate::readbuf::ReadBuf;
 use crate::resp::{self, Value};
 use crate::timer::TimerWheel;
 
@@ -197,6 +198,7 @@ pub(crate) fn spawn(
         listener,
         conns: HashMap::new(),
         wheel: TimerWheel::new(TIMER_TICK, 256),
+        scratch: Vec::new(),
     };
     std::thread::Builder::new()
         .name(format!("broker-io-{idx}"))
@@ -209,9 +211,9 @@ pub(crate) fn spawn(
 struct Conn {
     state: Arc<ConnState>,
     stream: TcpStream,
-    /// Partial-frame buffer: bytes read but not yet forming a complete
-    /// RESP frame.
-    buf: Vec<u8>,
+    /// Bytes read but not yet executed: whole frames are read in place,
+    /// a partial one waits for the next read.
+    rbuf: ReadBuf,
     /// Whether the connection is registered for write readiness
     /// (pending outbox bytes the socket would not take).
     want_write: bool,
@@ -241,6 +243,9 @@ struct ReactorLoop {
     listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     wheel: TimerWheel,
+    /// Where this loop's publishes write each push frame before it is
+    /// copied into the frame the outboxes share.
+    scratch: Vec<u8>,
 }
 
 impl ReactorLoop {
@@ -404,7 +409,7 @@ impl ReactorLoop {
             Conn {
                 state,
                 stream,
-                buf: Vec::new(),
+                rbuf: ReadBuf::new(),
                 want_write: false,
                 last_rx: now,
             },
@@ -412,26 +417,31 @@ impl ReactorLoop {
     }
 
     /// Reads until the socket is dry (or the fairness budget is spent),
-    /// executing every complete RESP frame.
+    /// executing every complete RESP frame in place in the connection's
+    /// buffer.
     fn service_read(&mut self, conn: u64) {
         let Some(c) = self.conns.get_mut(&conn) else {
             return;
         };
         c.last_rx = Instant::now();
         let mut read_total = 0usize;
-        let mut chunk = [0u8; 16 * 1024];
         let close = 'read: loop {
-            match c.stream.read(&mut chunk) {
+            match c.rbuf.fill(&mut c.stream) {
                 Ok(0) => break 'read Some(Close::Client),
                 Ok(n) => {
-                    c.buf.extend_from_slice(&chunk[..n]);
                     read_total += n;
                     // Process every complete frame in the buffer.
                     loop {
-                        match resp::decode(&c.buf) {
-                            Ok(Some((value, used))) => {
-                                c.buf.drain(..used);
-                                if !handle_command(&c.state, &value, &self.shared) {
+                        match resp::read_command(c.rbuf.unread()) {
+                            Ok(Some((command, used))) => {
+                                let open = handle_command(
+                                    &c.state,
+                                    command,
+                                    &self.shared,
+                                    &mut self.scratch,
+                                );
+                                c.rbuf.consume(used);
+                                if !open {
                                     break 'read Some(Close::Command);
                                 }
                             }

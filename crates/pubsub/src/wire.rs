@@ -60,13 +60,18 @@ pub const ID_HEADER_LEN: usize = ID.len() + 16 + 16 + 1;
 
 const DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends `v` as 16 lower-case hex digits.
-fn put_hex16(out: &mut Vec<u8>, v: u64) {
+/// `v` as 16 lower-case hex digits.
+fn hex16_digits(v: u64) -> [u8; 16] {
     let mut hex = [0u8; 16];
     for (i, digit) in hex.iter_mut().enumerate() {
         *digit = DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
     }
-    out.extend_from_slice(&hex);
+    hex
+}
+
+/// Appends `v` as 16 lower-case hex digits.
+fn put_hex16(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&hex16_digits(v));
 }
 
 /// Appends `v` in `radix` (10 or 16) with no leading zero.
@@ -233,10 +238,18 @@ pub(crate) fn parse_subscribe_arg(arg: &str) -> Option<(&str, Option<u64>)> {
     Some((&arg[arg.len() - f.0.len()..], from))
 }
 
-/// `payload` as a sequenced subscriber receives it, under broker
-/// sequence `seq`.
-pub(crate) fn sequenced(seq: u64, payload: &[u8]) -> Vec<u8> {
-    seq_frame(Some(seq), payload)
+/// Bytes the header of a sequenced payload takes.
+const SEQ_HEADER_LEN: usize = SEQ.len() + 16 + 1;
+
+/// The header in front of a payload as a sequenced subscriber receives
+/// it under broker sequence `seq`: `DMSEQ1;<seq:016x>;`. The broker
+/// writes it straight into the push frame, so the payload is never
+/// copied to join them.
+pub(crate) fn sequenced_header(seq: u64) -> [u8; SEQ_HEADER_LEN] {
+    let mut out = [b';'; SEQ_HEADER_LEN];
+    out[..SEQ.len()].copy_from_slice(SEQ);
+    out[SEQ.len()..SEQ.len() + 16].copy_from_slice(&hex16_digits(seq));
+    out
 }
 
 fn marker(magic: &[u8], a: u64, b: u64) -> Vec<u8> {
@@ -267,7 +280,7 @@ pub(crate) enum Delivery<'a> {
     Gap(u64, u64),
     /// A [`resumed`] marker: `(replayed, next)`.
     Resumed(u64, u64),
-    /// A [`sequenced`] payload: `(seq, body)`.
+    /// A payload behind a [`sequenced_header`]: `(seq, body)`.
     Sequenced(u64, &'a [u8]),
     /// None of these: the payload as it came.
     Plain(&'a [u8]),
@@ -674,7 +687,7 @@ mod tests {
             match self {
                 Frame::Id(id, body) => frame_payload(*id, body),
                 Frame::SubscribeArg(name, from) => subscribe_arg(name, *from),
-                Frame::Sequenced(seq, body) => sequenced(*seq, body),
+                Frame::Sequenced(seq, body) => [&sequenced_header(*seq)[..], body].concat(),
                 Frame::Gap(requested, resume_from) => gap(*requested, *resume_from),
                 Frame::Resumed(replayed, next) => resumed(*replayed, *next),
                 Frame::Control(frame) => frame.encode(),

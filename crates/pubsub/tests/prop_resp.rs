@@ -1,9 +1,50 @@
 //! Property tests for the RESP codec: arbitrary values round-trip,
-//! arbitrary prefixes never decode spuriously, and arbitrary garbage
-//! never panics.
+//! arbitrary prefixes never decode spuriously, arbitrary garbage never
+//! panics, and the in-place readers agree with the decoder.
 
-use dynamoth_pubsub::resp::{decode, encode, parse_command, Command, Value};
+use dynamoth_pubsub::resp::{
+    decode, encode, encode_command, message_push, read_command, read_server_frame, Command,
+    Reading, Value,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// What a reader made of a buffer: a frame of this length, "need more
+/// bytes" (`Ok(None)`), or an error.
+fn verdict<T>(read: Reading<T>) -> Reading<()> {
+    read.map(|frame| frame.map(|(_, used)| ((), used)))
+}
+
+/// Both in-place readers give `decode`'s verdict on `buf`.
+fn readers_agree(buf: &[u8]) -> Result<(), TestCaseError> {
+    let expected = verdict(decode(buf));
+    prop_assert_eq!(
+        verdict(read_command(buf)),
+        expected.clone(),
+        "command {:?}",
+        buf
+    );
+    prop_assert_eq!(
+        verdict(read_server_frame(buf)),
+        expected,
+        "server {:?}",
+        buf
+    );
+    Ok(())
+}
+
+/// A frame the live tier puts on the wire: a `PUBLISH`, `SUBSCRIBE` or
+/// `PING` command, or a `message` push.
+fn wire_frame(kind: u8, channel: &str, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    match kind {
+        0 => encode_command(&[b"PUBLISH", channel.as_bytes(), payload], &mut buf),
+        1 => encode_command(&[b"SUBSCRIBE", channel.as_bytes(), b"other"], &mut buf),
+        2 => encode_command(&[b"PING"], &mut buf),
+        _ => encode(&message_push(channel, payload), &mut buf),
+    }
+    buf
+}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -98,7 +139,8 @@ proptest! {
         prop_assert!(decode(nested.as_bytes()).is_err());
     }
 
-    /// PUBLISH commands round-trip through the codec and the parser.
+    /// PUBLISH commands round-trip through the codec and the in-place
+    /// reader.
     #[test]
     fn publish_commands_parse(
         channel in "[a-zA-Z0-9_]{1,16}",
@@ -111,10 +153,38 @@ proptest! {
         ]);
         let mut buf = Vec::new();
         encode(&cmd, &mut buf);
-        let (decoded, _) = decode(&buf).unwrap().unwrap();
+        let (command, used) = read_command(&buf).unwrap().unwrap();
+        prop_assert_eq!(used, buf.len());
         prop_assert_eq!(
-            parse_command(&decoded).unwrap(),
-            Command::Publish(channel, payload)
+            command.unwrap(),
+            Command::Publish(channel.as_bytes(), &payload)
         );
+    }
+
+    /// The in-place readers and `decode` read one grammar: on arbitrary
+    /// bytes, and on every truncation and every single-byte
+    /// substitution of the frames the live tier sends, they give the
+    /// same verdict (frame, need more, or error) and consume the same
+    /// length.
+    #[test]
+    fn in_place_readers_agree_with_decode(
+        garbage in prop::collection::vec(any::<u8>(), 0..96),
+        kind in 0u8..4,
+        channel in "[a-zA-Z0-9_]{1,12}",
+        payload in prop::collection::vec(any::<u8>(), 0..24),
+    ) {
+        readers_agree(&garbage)?;
+        let frame = wire_frame(kind, &channel, &payload);
+        for cut in 0..=frame.len() {
+            readers_agree(&frame[..cut])?;
+        }
+        let mut mutated = frame.clone();
+        for at in 0..frame.len() {
+            for byte in 0..=u8::MAX {
+                mutated[at] = byte;
+                readers_agree(&mutated)?;
+            }
+            mutated[at] = frame[at];
+        }
     }
 }

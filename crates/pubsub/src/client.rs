@@ -47,14 +47,20 @@
 //! queue is due, encode every command and every queued publication into
 //! one buffer and send it with one `write_all`; on readiness, `read` once
 //! into a reusable buffer and decode every complete frame in it by
-//! cursor. Each decoded application message and each [`ClientEvent`]
-//! goes to the client's sink on the worker thread itself:
-//! [`TcpPubSubClient::connect_addr`] installs the sink that feeds
-//! [`TcpPubSubClient::try_message`] / [`TcpPubSubClient::try_event`];
-//! the routed tier installs one that runs its cross-broker dedup and
-//! pushes straight onto the queue
+//! cursor. Each decoded application message goes to the client's sink
+//! on the worker thread itself, as a view borrowed from the read buffer:
+//! the worker copies the ones the sink keeps into one batch per read and
+//! hands the batch over once, at the end of the read and before any
+//! [`ClientEvent`] the read raised, so an event never overtakes the
+//! messages read ahead of it. [`TcpPubSubClient::connect_addr`] installs
+//! the sink that feeds [`TcpPubSubClient::try_message`] /
+//! [`TcpPubSubClient::try_event`]; the routed tier installs one that runs
+//! its cross-broker dedup and sends straight to the queue
 //! [`RoutedClient::try_message`](crate::RoutedClient::try_message)
 //! reads, so no second thread sits between the socket and the caller.
+//! The caller builds each [`Message`] from the batch on its own thread:
+//! the worker allocates nothing per delivery, and no thread frees what
+//! another allocated.
 //! A write that fails leaves the whole batch unacknowledged; it returns
 //! to the head of the queue in order, ids unchanged, and is re-sent
 //! after the reconnect.
@@ -317,13 +323,178 @@ impl Dedup {
     }
 }
 
+/// One application message as the worker reads it: borrowed from the
+/// connection's read buffer, not yet a [`Message`].
+#[derive(Clone, Copy)]
+pub(crate) struct MessageView<'a> {
+    /// The channel, as [`Message::channel`] will hold it.
+    pub(crate) channel: &'a str,
+    /// The payload with its wire-id header stripped.
+    pub(crate) payload: &'a [u8],
+    pub(crate) id: Option<MessageId>,
+    pub(crate) seq: Option<u64>,
+}
+
+impl MessageView<'_> {
+    /// The owned message a caller receives.
+    pub(crate) fn to_message(self) -> Message {
+        Message {
+            channel: self.channel.to_owned(),
+            payload: self.payload.to_vec(),
+            id: self.id,
+            seq: self.seq,
+        }
+    }
+}
+
+/// The messages one socket read kept, in arrival order, on their way from
+/// a worker to the thread that consumes them: channel names and payloads
+/// back to back in one buffer, and the ends, id and sequence of each.
+/// The consumer builds each [`Message`] from it on its own thread, so a
+/// delivery allocates nothing on the worker and frees nothing that
+/// another thread allocated.
+#[derive(Default)]
+pub(crate) struct Batch {
+    bytes: Vec<u8>,
+    marks: Vec<Mark>,
+}
+
+/// Where one message of a [`Batch`] lies: its channel ends at
+/// `channel_end`, its payload runs from there to `payload_end`.
+struct Mark {
+    channel_end: usize,
+    payload_end: usize,
+    id: Option<MessageId>,
+    seq: Option<u64>,
+}
+
+impl Batch {
+    /// Appends `msg`. `frames` is how many frames the rest of the read
+    /// holds if they are the size of this message's: the first message
+    /// reserves room for that many like it, so a batch is sized by its
+    /// read, not grown by doubling.
+    pub(crate) fn push(&mut self, msg: &MessageView<'_>, frames: usize) {
+        if self.marks.is_empty() {
+            let len = msg.channel.len() + msg.payload.len();
+            self.bytes.reserve(frames.max(1) * len);
+            self.marks.reserve(frames.max(1));
+        }
+        self.bytes.extend_from_slice(msg.channel.as_bytes());
+        let channel_end = self.bytes.len();
+        self.bytes.extend_from_slice(msg.payload);
+        self.marks.push(Mark {
+            channel_end,
+            payload_end: self.bytes.len(),
+            id: msg.id,
+            seq: msg.seq,
+        });
+    }
+
+    /// The `i`-th message, if the batch holds that many.
+    pub(crate) fn get(&self, i: usize) -> Option<MessageView<'_>> {
+        let mark = self.marks.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |p| self.marks[p].payload_end);
+        let channel = std::str::from_utf8(&self.bytes[start..mark.channel_end])
+            .expect("a batch holds each channel as the str it was pushed as");
+        Some(MessageView {
+            channel,
+            payload: &self.bytes[mark.channel_end..mark.payload_end],
+            id: mark.id,
+            seq: mark.seq,
+        })
+    }
+
+    /// Every message, in arrival order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = MessageView<'_>> {
+        (0..self.marks.len()).filter_map(|i| self.get(i))
+    }
+
+    /// What was pushed so far, leaving this batch empty and unallocated;
+    /// `None` when nothing was.
+    fn take(&mut self) -> Option<Batch> {
+        (!self.marks.is_empty()).then(|| std::mem::take(self))
+    }
+}
+
+/// The caller's end of a client's messages: the batches its workers send
+/// and a cursor into the current one. [`TcpPubSubClient`] and
+/// [`RoutedClient`](crate::RoutedClient) both read through it, and each
+/// [`Message`] is built here, on the calling thread.
+pub(crate) struct MessageQueue {
+    state: Mutex<Cursor>,
+}
+
+struct Cursor {
+    batches: mpsc::Receiver<Batch>,
+    current: Batch,
+    next: usize,
+}
+
+impl Cursor {
+    fn pop(&mut self) -> Option<Message> {
+        let msg = self.current.get(self.next)?;
+        self.next += 1;
+        Some(msg.to_message())
+    }
+
+    /// Moves to `batch`; a worker never sends an empty one.
+    fn start(&mut self, batch: Batch) -> Option<Message> {
+        self.current = batch;
+        self.next = 0;
+        self.pop()
+    }
+}
+
+impl MessageQueue {
+    pub(crate) fn new(batches: mpsc::Receiver<Batch>) -> MessageQueue {
+        MessageQueue {
+            state: Mutex::new(Cursor {
+                batches,
+                current: Batch::default(),
+                next: 0,
+            }),
+        }
+    }
+
+    /// The next message, if one is already queued.
+    pub(crate) fn try_message(&self) -> Option<Message> {
+        let mut cursor = self.state.lock();
+        if let Some(msg) = cursor.pop() {
+            return Some(msg);
+        }
+        let batch = cursor.batches.try_recv().ok()?;
+        cursor.start(batch)
+    }
+
+    /// Blocks up to `timeout` for the next message.
+    pub(crate) fn message_timeout(&self, timeout: Duration) -> Option<Message> {
+        let mut cursor = self.state.lock();
+        if let Some(msg) = cursor.pop() {
+            return Some(msg);
+        }
+        let batch = cursor.batches.recv_timeout(timeout).ok()?;
+        cursor.start(batch)
+    }
+}
+
 /// Where a worker puts what its connection produces. Called on the
 /// worker thread, in arrival order; an implementation must neither
 /// block nor join the client it serves.
+///
+/// The worker gathers the messages a sink keeps from one socket read
+/// into one [`Batch`] and hands it over at the end of the read, and
+/// before any event: a consumer never sees an event before the messages
+/// read ahead of it.
 pub(crate) trait Sink: Send {
     /// One application message that passed the connection's dedup
-    /// window.
-    fn message(&mut self, msg: Message);
+    /// window. Returns whether it goes into the read's batch; a sink may
+    /// act on it itself instead (the router's control frames) or drop it
+    /// (the router's cross-broker duplicates).
+    fn message(&mut self, _msg: &MessageView<'_>) -> bool {
+        true
+    }
+    /// The messages one read kept, in arrival order; never empty.
+    fn batch(&mut self, batch: Batch);
     /// One state change of the connection.
     fn event(&mut self, event: ClientEvent);
     /// Every frame of one socket read has been handed over.
@@ -332,13 +503,13 @@ pub(crate) trait Sink: Send {
 
 /// The default sink: the client's own queues.
 struct QueueSink {
-    messages: mpsc::Sender<Message>,
+    messages: mpsc::Sender<Batch>,
     events: mpsc::Sender<ClientEvent>,
 }
 
 impl Sink for QueueSink {
-    fn message(&mut self, msg: Message) {
-        let _ = self.messages.send(msg);
+    fn batch(&mut self, batch: Batch) {
+        let _ = self.messages.send(batch);
     }
 
     fn event(&mut self, event: ClientEvent) {
@@ -468,7 +639,7 @@ impl ClientShared {
 pub struct TcpPubSubClient {
     shared: Arc<ClientShared>,
     worker: Option<JoinHandle<()>>,
-    messages: Mutex<mpsc::Receiver<Message>>,
+    messages: MessageQueue,
     events: Mutex<mpsc::Receiver<ClientEvent>>,
     origin: u64,
     /// The `seq` of the next wire id [`Self::publish`] frames.
@@ -516,7 +687,7 @@ impl TcpPubSubClient {
         let (events, event_rx) = mpsc::channel();
         let mut client =
             TcpPubSubClient::connect_sink(addr, config, QueueSink { messages, events });
-        client.messages = Mutex::new(msg_rx);
+        client.messages = MessageQueue::new(msg_rx);
         client.events = Mutex::new(event_rx);
         client
     }
@@ -552,6 +723,7 @@ impl TcpPubSubClient {
             pending: VecDeque::new(),
             unacked: VecDeque::new(),
             dedup: Dedup::new(),
+            batch: Batch::default(),
             cmds: VecDeque::new(),
             out: Vec::new(),
             absorbed: 0,
@@ -566,7 +738,7 @@ impl TcpPubSubClient {
             shared,
             worker: Some(handle),
             // Disconnected queues: a custom sink receives everything.
-            messages: Mutex::new(mpsc::channel().1),
+            messages: MessageQueue::new(mpsc::channel().1),
             events: Mutex::new(mpsc::channel().1),
             origin,
             seq: AtomicU64::new(0),
@@ -688,12 +860,12 @@ impl TcpPubSubClient {
 
     /// The next delivered message, if one is already queued.
     pub fn try_message(&self) -> Option<Message> {
-        self.messages.lock().try_recv().ok()
+        self.messages.try_message()
     }
 
     /// Blocks up to `timeout` for the next delivered message.
     pub fn message_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.messages.lock().recv_timeout(timeout).ok()
+        self.messages.message_timeout(timeout)
     }
 
     /// The next client event, if one is already queued.
@@ -753,6 +925,8 @@ struct Worker {
     pending: VecDeque<PendingPub>,
     unacked: VecDeque<PendingPub>,
     dedup: Dedup,
+    /// The messages the sink kept from the read being consumed.
+    batch: Batch,
     /// The pass's commands, swapped out of `shared.cmds` under one lock
     /// (callers keep pushing onto the other deque meanwhile).
     cmds: VecDeque<Cmd>,
@@ -789,8 +963,17 @@ impl Worker {
         self.shared.running.load(Ordering::SeqCst)
     }
 
+    /// Hands `event` to the sink, after what was read before it.
     fn emit(&mut self, event: ClientEvent) {
+        self.hand_over();
         self.sink.event(event);
+    }
+
+    /// Hands the batch read so far to the sink, if it holds anything.
+    fn hand_over(&mut self) {
+        if let Some(batch) = self.batch.take() {
+            self.sink.batch(batch);
+        }
     }
 
     fn run(mut self) {
@@ -965,13 +1148,21 @@ impl Worker {
             Ok(_) => {
                 s.last_rx = Instant::now();
                 s.got_data = true;
-                while let Some((frame, used)) = resp::read_server_frame(s.rbuf.unread())
-                    .map_err(|_| DisconnectReason::Protocol)?
-                {
-                    self.handle_frame(frame);
-                    s.rbuf.consume(used);
-                }
+                let read = loop {
+                    let room = s.rbuf.unread().len();
+                    match resp::read_server_frame(s.rbuf.unread()) {
+                        Ok(Some((frame, used))) => {
+                            self.handle_frame(frame, room.div_ceil(used));
+                            s.rbuf.consume(used);
+                        }
+                        Ok(None) => break Ok(()),
+                        Err(_) => break Err(DisconnectReason::Protocol),
+                    }
+                };
+                // What a torn read kept is handed over too.
+                self.hand_over();
                 self.sink.read_end();
+                read?;
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -993,12 +1184,14 @@ impl Worker {
         false
     }
 
-    /// Interprets one server frame, read in place: a `message` push
-    /// costs only the channel and payload its [`Message`] owns.
-    fn handle_frame(&mut self, frame: ServerFrame<'_>) {
+    /// Interprets one server frame, read in place: a `message` push is
+    /// handed to the sink as a view and, if it keeps it, appended to the
+    /// read's batch, sized for `frames` like it (see [`Batch::push`]).
+    fn handle_frame(&mut self, frame: ServerFrame<'_>, frames: usize) {
         match frame {
             ServerFrame::Message { channel, payload } => {
-                let channel = String::from_utf8_lossy(channel).into_owned();
+                // Borrowed unless the name is not UTF-8.
+                let channel = String::from_utf8_lossy(channel);
                 // Resume-protocol markers arrive as unicast pushes on the
                 // channel; they never reach the normal delivery path.
                 let (broker_seq, payload) = match wire::delivery(payload) {
@@ -1008,7 +1201,7 @@ impl Worker {
                         // high-water must be forgotten or every future
                         // resubscribe re-requests it.
                         let reason = if resume_from < requested {
-                            if let Some(st) = self.desired.get_mut(&channel) {
+                            if let Some(st) = self.desired.get_mut(&*channel) {
                                 st.base_from = None;
                                 st.high_water = None;
                             }
@@ -1017,18 +1210,19 @@ impl Worker {
                             GapReason::Evicted
                         };
                         self.emit(ClientEvent::Gap {
-                            channel,
+                            channel: channel.into_owned(),
                             missed: resume_from.saturating_sub(requested),
                             reason,
                         });
                         return;
                     }
                     Delivery::Resumed(replayed, _) => {
+                        let channel = channel.into_owned();
                         self.emit(ClientEvent::Resumed { channel, replayed });
                         return;
                     }
                     Delivery::Sequenced(seq, body) => {
-                        if let Some(st) = self.desired.get_mut(&channel) {
+                        if let Some(st) = self.desired.get_mut(&*channel) {
                             st.high_water = Some(st.high_water.map_or(seq, |h| h.max(seq)));
                         }
                         (Some(seq), body)
@@ -1038,18 +1232,22 @@ impl Worker {
                 let (id, body) = parse_payload(payload);
                 if let Some(id) = id {
                     if !self.dedup.insert(id, self.cfg.dedup_window) {
+                        let channel = channel.into_owned();
                         self.emit(ClientEvent::Dropped {
                             cause: DropCause::Duplicate { channel },
                         });
                         return;
                     }
                 }
-                self.sink.message(Message {
-                    channel,
-                    payload: body.to_vec(),
+                let msg = MessageView {
+                    channel: &channel,
+                    payload: body,
                     id,
                     seq: broker_seq,
-                });
+                };
+                if self.sink.message(&msg) {
+                    self.batch.push(&msg, frames);
+                }
             }
             // Publish acknowledgement (receiver count). Replies on one
             // connection are FIFO, so it acks the oldest in flight.
@@ -1238,6 +1436,165 @@ mod tests {
             arg(Some(42), Some(9)).subscribe_arg("ch"),
             wire::subscribe_arg("ch", Some(42))
         );
+    }
+
+    /// What a delivery used to become on the worker: the channel read
+    /// lossily, the payload copied, the id and sequence as parsed.
+    fn owned(channel: &[u8], payload: &[u8], id: Option<MessageId>, seq: Option<u64>) -> Message {
+        Message {
+            channel: String::from_utf8_lossy(channel).into_owned(),
+            payload: payload.to_vec(),
+            id,
+            seq,
+        }
+    }
+
+    #[test]
+    fn batched_views_come_back_as_the_messages_the_worker_read() {
+        let id = |seq| Some(MessageId { origin: 7, seq });
+        let framed = frame_payload(MessageId { origin: 7, seq: 1 }, b"hello");
+        let (parsed_id, body) = parse_payload(&framed);
+        // (channel as read, payload, id, seq)
+        type Case<'a> = (&'a [u8], &'a [u8], Option<MessageId>, Option<u64>);
+        let cases: Vec<Case> = vec![
+            (b"tile-1", body, parsed_id, Some(41)),
+            (b"tile-1", b"", id(2), None),
+            (b"\xffbad\xfe", b"x", None, Some(0)),
+            (b"", b"\x00\xff\r\n", None, None),
+            (
+                "sal\u{e9}".as_bytes(),
+                b"plain",
+                id(u64::MAX),
+                Some(u64::MAX),
+            ),
+        ];
+        let expected: Vec<Message> = cases
+            .iter()
+            .map(|&(c, p, id, seq)| owned(c, p, id, seq))
+            .collect();
+        let (tx, rx) = mpsc::channel();
+        let queue = MessageQueue::new(rx);
+        // Two reads: one sized too small (the batch grows), one
+        // generously.
+        for (cases, frames) in [(&cases[..2], 1), (&cases[2..], 64)] {
+            let mut batch = Batch::default();
+            for &(channel, payload, id, seq) in cases {
+                let channel = String::from_utf8_lossy(channel);
+                let view = MessageView {
+                    channel: &channel,
+                    payload,
+                    id,
+                    seq,
+                };
+                batch.push(&view, frames);
+            }
+            tx.send(batch.take().expect("a batch with messages"))
+                .unwrap();
+            assert!(batch.take().is_none(), "a taken batch is empty");
+        }
+        let got: Vec<Message> = std::iter::from_fn(|| queue.try_message()).collect();
+        assert_eq!(got, expected);
+        assert_eq!(queue.message_timeout(Duration::from_millis(1)), None);
+    }
+
+    #[test]
+    fn a_waiting_message_timeout_returns_a_batch_that_lands_mid_wait() {
+        let (tx, rx) = mpsc::channel();
+        let queue = MessageQueue::new(rx);
+        let mut batch = Batch::default();
+        for payload in [b"first", b"other"] {
+            let view = MessageView {
+                channel: "ch",
+                payload,
+                id: None,
+                seq: None,
+            };
+            batch.push(&view, 2);
+        }
+        let delay = Duration::from_millis(50);
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            tx.send(batch).unwrap();
+        });
+        let start = Instant::now();
+        let first = queue.message_timeout(Duration::from_secs(10));
+        assert!(
+            start.elapsed() >= delay,
+            "returned before the batch was sent"
+        );
+        assert_eq!(first, Some(owned(b"ch", b"first", None, None)));
+        assert_eq!(
+            queue.try_message(),
+            Some(owned(b"ch", b"other", None, None))
+        );
+        sender.join().unwrap();
+        assert_eq!(queue.try_message(), None);
+    }
+
+    /// What a worker handed its sink, in order.
+    #[derive(Debug, PartialEq)]
+    enum Handed {
+        Batch(Vec<Message>),
+        Event(ClientEvent),
+        ReadEnd,
+    }
+
+    struct Recorder(mpsc::Sender<Handed>);
+
+    impl Sink for Recorder {
+        fn batch(&mut self, batch: Batch) {
+            let messages = batch.iter().map(MessageView::to_message).collect();
+            let _ = self.0.send(Handed::Batch(messages));
+        }
+
+        fn event(&mut self, event: ClientEvent) {
+            let _ = self.0.send(Handed::Event(event));
+        }
+
+        fn read_end(&mut self) {
+            let _ = self.0.send(Handed::ReadEnd);
+        }
+    }
+
+    #[test]
+    fn a_read_hands_over_its_messages_before_its_event() {
+        // A broker stand-in writes two replayed deliveries and the
+        // replay's end in one write, so the worker reads them together.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut frames = Vec::new();
+        for seq in 0..2 {
+            resp::message_frame(&mut frames, b"room", &wire::sequenced_header(seq), b"body");
+        }
+        resp::message_frame(&mut frames, b"room", b"", &wire::resumed(2, 2));
+        let broker = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&frames).unwrap();
+            stream
+        });
+        let (tx, rx) = mpsc::channel();
+        let client = TcpPubSubClient::connect_sink(addr, ClientConfig::default(), Recorder(tx));
+        let stream = broker.join().unwrap();
+        let mut handed = Vec::new();
+        while handed.last() != Some(&Handed::ReadEnd) {
+            handed.push(rx.recv_timeout(Duration::from_secs(10)).unwrap());
+        }
+        let delivered = |seq| owned(b"room", b"body", None, Some(seq));
+        let resumed = ClientEvent::Resumed {
+            channel: "room".into(),
+            replayed: 2,
+        };
+        assert_eq!(
+            handed,
+            [
+                Handed::Event(ClientEvent::Connected { attempt: 1 }),
+                Handed::Batch(vec![delivered(0), delivered(1)]),
+                Handed::Event(resumed),
+                Handed::ReadEnd,
+            ]
+        );
+        client.shutdown();
+        drop(stream);
     }
 
     #[test]

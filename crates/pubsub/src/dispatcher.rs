@@ -78,7 +78,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::client::{
-    frame_payload, ClientConfig, ClientEvent, Dedup, Message, Sink, TcpPubSubClient,
+    frame_payload, Batch, ClientConfig, ClientEvent, Dedup, MessageView, Sink, TcpPubSubClient,
 };
 use crate::control::{control_channel, install_channel, ControlFrame, InstallFrame, Quarantine};
 use crate::ids::{PlanId, ServerId};
@@ -200,8 +200,8 @@ impl Resend {
 
 /// What reaches the pump.
 enum Inbox {
-    /// The messages of one socket read on the watch.
-    Read(Vec<Message>),
+    /// The messages of one socket read on the watch or a peer.
+    Read(Batch),
     /// The watch (`None`) or the connection to peer `Some(broker)` gave
     /// up: the only [`ClientEvent`] the pump acts on.
     GaveUp(Option<usize>),
@@ -214,29 +214,17 @@ enum Inbox {
 /// The sink of the watch's and every peer's worker: the pump's inbox.
 struct PumpSink {
     peer: Option<usize>,
-    /// The messages of the socket read being consumed.
-    batch: Vec<Message>,
     inbox: mpsc::Sender<Inbox>,
 }
 
 impl Sink for PumpSink {
-    fn message(&mut self, msg: Message) {
-        self.batch.push(msg);
+    fn batch(&mut self, batch: Batch) {
+        let _ = self.inbox.send(Inbox::Read(batch));
     }
 
     fn event(&mut self, event: ClientEvent) {
-        // What was read before the event goes first.
-        self.read_end();
         if event == ClientEvent::GaveUp {
             let _ = self.inbox.send(Inbox::GaveUp(self.peer));
-        }
-    }
-
-    fn read_end(&mut self) {
-        if !self.batch.is_empty() {
-            let _ = self
-                .inbox
-                .send(Inbox::Read(std::mem::take(&mut self.batch)));
         }
     }
 }
@@ -378,7 +366,7 @@ impl Pump {
             };
             for input in first.into_iter().chain(inbox.try_iter()) {
                 match input {
-                    Inbox::Read(messages) => messages.into_iter().for_each(|m| self.handle(m)),
+                    Inbox::Read(batch) => batch.iter().for_each(|m| self.handle(m)),
                     Inbox::GaveUp(peer) => self.gave_up(peer),
                     Inbox::Install(frame) => self.apply_install(frame),
                     Inbox::Stop => return,
@@ -405,7 +393,6 @@ impl Pump {
         let addr = self.directory[peer.unwrap_or(self.me.index())];
         let sink = PumpSink {
             peer,
-            batch: Vec::new(),
             inbox: self.inbox.clone(),
         };
         TcpPubSubClient::connect_sink(addr, self.cfg.client.clone(), sink)
@@ -514,18 +501,18 @@ impl Pump {
             drop(client);
             for (channel, framed) in stranded {
                 self.peer(ServerId::from_index(broker))
-                    .publish_raw(&channel, &framed);
+                    .publish_framed(&channel, framed);
             }
         }
         let _ = self.events.send(SidecarEvent::PeerUnavailable { broker });
     }
 
-    fn handle(&mut self, msg: Message) {
+    fn handle(&mut self, msg: MessageView<'_>) {
         // Plan deltas from the live balancer arrive on our private
         // install channel; they feed the same install path a local
         // `install()` call does.
         if msg.channel == self.install {
-            if let Some(frame) = InstallFrame::decode(&msg.payload) {
+            if let Some(frame) = InstallFrame::decode(msg.payload) {
                 self.apply_install(frame);
             }
             return;
@@ -533,12 +520,12 @@ impl Pump {
         // Our own Switch emissions (and any other sidecar's control
         // frames) come back through the watch subscription; they carry
         // routing metadata, not application traffic — never forward.
-        if ControlFrame::decode(&msg.payload).is_some() {
+        if ControlFrame::decode(msg.payload).is_some() {
             return;
         }
         let now = Instant::now();
         let forward_back_window = self.cfg.client.timing.forward_back_window();
-        let Some(state) = self.channels.get_mut(&msg.channel) else {
+        let Some(state) = self.channels.get_mut(msg.channel) else {
             return; // teardown raced a late delivery
         };
         let i_am_old = state.old.contains(self.me);
@@ -583,24 +570,27 @@ impl Pump {
         targets.retain(|t| state.quarantine.iter().all(|q| q.broker != t.index()));
 
         if switch_now {
-            self.emit_switch(&msg.channel);
+            self.emit_switch(msg.channel);
         }
         let Some(id) = msg.id else {
             return;
         };
         if moved_now {
-            self.emit_moved(id.origin, &msg.channel);
+            self.emit_moved(id.origin, msg.channel);
         }
-        if targets.is_empty() {
+        let Some((&last, rest)) = targets.split_last() else {
             return;
-        }
+        };
         // Re-frame byte-identically: framing is deterministic, so the
         // forwarded copy carries the original wire id and every dedup
-        // window downstream recognizes it.
-        let framed = frame_payload(id, &msg.payload);
-        for &target in &targets {
-            self.peer(target).publish_raw(&msg.channel, &framed);
+        // window downstream recognizes it. The last target takes the
+        // framed bytes themselves; only earlier ones get a copy.
+        let framed = frame_payload(id, msg.payload);
+        for &target in rest {
+            self.peer(target)
+                .publish_framed(msg.channel, framed.clone());
         }
+        self.peer(last).publish_framed(msg.channel, framed);
         self.stats.lock().forwarded += targets.len() as u64;
     }
 

@@ -325,6 +325,10 @@ impl OutboxSender {
                 q.scheduled = false;
                 return Flush::Drained;
             }
+            // One allocation per `writev`, sized to the queue. A
+            // `[IoSlice; MAX_IOVECS]` array would initialise 16 KiB per
+            // call however few frames wait, and a small array with a
+            // `Vec` fallback would be a second path.
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(q.frames.len().min(MAX_IOVECS));
             for (i, (f, _)) in q.frames.iter().take(MAX_IOVECS).enumerate() {
                 slices.push(IoSlice::new(if i == 0 { &f[q.front_offset..] } else { f }));

@@ -199,6 +199,7 @@ pub(crate) fn spawn(
         conns: HashMap::new(),
         wheel: TimerWheel::new(TIMER_TICK, 256),
         scratch: Vec::new(),
+        writable: Vec::new(),
     };
     std::thread::Builder::new()
         .name(format!("broker-io-{idx}"))
@@ -246,6 +247,10 @@ struct ReactorLoop {
     /// Where this loop's publishes write each push frame before it is
     /// copied into the frame the outboxes share.
     scratch: Vec<u8>,
+    /// The spare the inbox's `writable` vector is swapped with: each
+    /// drain hands the inbox back an emptied vector that keeps its
+    /// capacity, so scheduling writes allocates nothing once warm.
+    writable: Vec<u64>,
 }
 
 impl ReactorLoop {
@@ -541,12 +546,12 @@ impl ReactorLoop {
     /// a handoff in the same batch finds its connection), then kills,
     /// then flush requests.
     fn drain_inbox(&mut self) {
-        let (new_conns, kills, writable) = {
+        let (new_conns, kills) = {
             let mut inbox = self.me.inbox.lock();
+            std::mem::swap(&mut inbox.writable, &mut self.writable);
             (
                 std::mem::take(&mut inbox.new_conns),
                 std::mem::take(&mut inbox.kills),
-                std::mem::take(&mut inbox.writable),
             )
         };
         for (state, stream) in new_conns {
@@ -555,9 +560,12 @@ impl ReactorLoop {
         for conn in kills {
             self.teardown(conn);
         }
-        for conn in writable {
+        let mut writable = std::mem::take(&mut self.writable);
+        for &conn in &writable {
             self.service_write(conn);
         }
+        writable.clear();
+        self.writable = writable;
     }
 
     /// Fires due liveness deadlines. Cancellation is lazy: a deadline

@@ -45,9 +45,11 @@
 //! are the **data plane**: each hands the application messages it
 //! decodes to a sink that runs on the worker itself — the
 //! router-level dedup (one `Mutex<Dedup>` shared by the router's
-//! workers, held for the insert only) and a push onto the queue
-//! [`RoutedClient::try_message`] reads. A delivery crosses no other
-//! thread, and one connection's frames stay in arrival order.
+//! workers, held for the insert only) — and sends what passes, one
+//! batch per socket read, to the queue [`RoutedClient::try_message`]
+//! reads, which builds each [`Message`] on the caller's thread. A
+//! delivery crosses no other thread, and one connection's frames stay
+//! in arrival order.
 //!
 //! The one `dm-router` thread is the **control plane**. It blocks on a
 //! single inbox fed by the same sinks — every control frame that
@@ -95,8 +97,8 @@ use dynamoth_sim::SimRng;
 use parking_lot::Mutex;
 
 use crate::client::{
-    frame_payload, seeded_rng, ClientConfig, ClientEvent, Dedup, GapReason, Message, MessageId,
-    Sink, TcpPubSubClient,
+    frame_payload, seeded_rng, Batch, ClientConfig, ClientEvent, Dedup, GapReason, Message,
+    MessageId, MessageQueue, MessageView, Sink, TcpPubSubClient,
 };
 use crate::control::{channel_id_of, control_channel, ControlFrame};
 use crate::hashing::{Ring, DEFAULT_VNODES};
@@ -205,38 +207,42 @@ struct RouterSink {
     broker: usize,
     dedup_window: usize,
     shared: Arc<RouterShared>,
-    messages: mpsc::Sender<Message>,
+    messages: mpsc::Sender<Batch>,
     inbox: mpsc::Sender<Inbox>,
     /// A message arrived in the socket read being consumed.
     got_message: bool,
 }
 
 impl Sink for RouterSink {
-    fn message(&mut self, msg: Message) {
+    fn message(&mut self, msg: &MessageView<'_>) -> bool {
         self.got_message = true;
         let on_control_channel = msg.channel == self.shared.control;
-        if let Some(frame) = ControlFrame::decode(&msg.payload) {
+        if let Some(frame) = ControlFrame::decode(msg.payload) {
             let applies = match &frame {
                 ControlFrame::Moved { .. } => on_control_channel,
-                ControlFrame::Switch { channel, .. } => *channel == msg.channel,
+                ControlFrame::Switch { channel, .. } => channel == msg.channel,
             };
             if applies {
                 let _ = self.inbox.send(Inbox::Control(frame));
-                return;
+                return false;
             }
             // A control frame on the wrong channel is application payload
             // that merely looks like one; fall through and deliver it.
         }
         if on_control_channel {
-            return; // junk on the control channel; nothing to deliver
+            return false; // junk on the control channel; nothing to deliver
         }
         if let Some(id) = msg.id {
             if !self.shared.dedup.lock().insert(id, self.dedup_window) {
                 self.shared.duplicates.fetch_add(1, Ordering::Relaxed);
-                return;
+                return false;
             }
         }
-        let _ = self.messages.send(msg);
+        true
+    }
+
+    fn batch(&mut self, batch: Batch) {
+        let _ = self.messages.send(batch);
     }
 
     fn event(&mut self, event: ClientEvent) {
@@ -324,7 +330,7 @@ struct Core {
     /// holding the client map that owns its own worker would be a cycle.
     shared: Arc<RouterShared>,
     /// Feeds the queue `try_message` reads; cloned into every sink.
-    messages: mpsc::Sender<Message>,
+    messages: mpsc::Sender<Batch>,
     /// Feeds the control thread; cloned into every sink.
     inbox: mpsc::Sender<Inbox>,
     /// Feeds the queue `try_event` reads.
@@ -334,7 +340,7 @@ struct Core {
 /// The plan-routed multi-broker client (see module docs).
 pub struct RoutedClient {
     core: Arc<Core>,
-    messages: Mutex<mpsc::Receiver<Message>>,
+    messages: MessageQueue,
     events: Mutex<mpsc::Receiver<RouterEvent>>,
     control: Option<JoinHandle<()>>,
 }
@@ -402,7 +408,7 @@ impl RoutedClient {
             .expect("spawn dm-router thread");
         RoutedClient {
             core,
-            messages: Mutex::new(msg_rx),
+            messages: MessageQueue::new(msg_rx),
             events: Mutex::new(event_rx),
             control: Some(control),
         }
@@ -478,12 +484,12 @@ impl RoutedClient {
 
     /// The next delivered message, if one is already queued.
     pub fn try_message(&self) -> Option<Message> {
-        self.messages.lock().try_recv().ok()
+        self.messages.try_message()
     }
 
     /// Blocks up to `timeout` for the next delivered message.
     pub fn message_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.messages.lock().recv_timeout(timeout).ok()
+        self.messages.message_timeout(timeout)
     }
 
     /// The next router event, if one is already queued.

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use dynamoth_pubsub::{
     channel_id_of, BrokerConfig, ChannelChange, ChannelMapping, ChaosProxy, ClientConfig,
-    ClientEvent, DispatcherSidecar, PlanId, Ring, RoutedClient, RouterConfig, ServerId,
+    ClientEvent, DispatcherSidecar, Message, PlanId, Ring, RoutedClient, RouterConfig, ServerId,
     SidecarConfig, TcpBroker, TcpPubSubClient, DEFAULT_VNODES,
 };
 
@@ -177,6 +177,99 @@ fn outage_longer_than_dedup_window_loses_nothing_with_retention() {
         assert_eq!(sub.message_timeout(Duration::from_millis(300)), None);
 
         sub.shutdown();
+        publisher.shutdown();
+        proxy.shutdown();
+        broker.shutdown();
+    });
+}
+
+fn replayed(i: usize) -> Vec<u8> {
+    format!("replayed-{i}").into_bytes()
+}
+
+/// Takes `n` messages from `next` without waiting: each must be the
+/// next replayed one.
+fn assert_replay_queued(what: &str, n: usize, mut next: impl FnMut() -> Option<Message>) {
+    for i in 0..n {
+        assert_eq!(
+            next().map(|m| m.payload),
+            Some(replayed(i)),
+            "{what}: replayed message {i} not queued when Resumed was visible"
+        );
+    }
+}
+
+/// A resume's replay reaches the caller before its `Resumed` does: once
+/// the event is visible, every message replayed ahead of it already
+/// comes out of `try_message`, without waiting. Checked on a plain
+/// client resubscribing from sequence 0 and on a routed client resuming
+/// after an outage.
+#[test]
+fn a_resumes_replay_is_returned_before_its_event_is_visible() {
+    const REPLAYED: usize = 300;
+    with_deadline(120, || {
+        let seed = seed(0x0D15_EA5E);
+        let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
+        let proxy = ChaosProxy::spawn(broker.local_addr(), seed ^ 0x40).expect("proxy");
+        let publisher =
+            TcpPubSubClient::connect_with(broker.local_addr(), chaos_cfg(seed ^ 11)).expect("pub");
+
+        // A plain client asks for the channel's whole history.
+        for i in 0..REPLAYED {
+            publisher.publish("history", &replayed(i));
+        }
+        wait_until("history retained", Duration::from_secs(10), || {
+            broker.channel_retention("history").1 >= REPLAYED as u64
+        });
+        let plain = TcpPubSubClient::connect_with(broker.local_addr(), chaos_cfg(seed ^ 12))
+            .expect("plain subscriber");
+        plain.subscribe_from("history", 0);
+        wait_until("plain client resumed", Duration::from_secs(10), || {
+            std::iter::from_fn(|| plain.try_event()).any(
+                |e| matches!(e, ClientEvent::Resumed { replayed, .. } if replayed == REPLAYED as u64),
+            )
+        });
+        assert_replay_queued("plain client", REPLAYED, || plain.try_message());
+
+        // A routed client resumes from its high-water mark after an outage.
+        let routed = RoutedClient::connect(
+            vec![proxy.local_addr()],
+            RouterConfig {
+                client: chaos_cfg(seed ^ 13),
+                seed: Some(seed ^ 14),
+                ..RouterConfig::default()
+            },
+        );
+        routed.subscribe("room");
+        wait_until("routed subscription", Duration::from_secs(10), || {
+            broker.channel_subscribers("room") >= 1
+        });
+        publisher.publish("room", b"pre");
+        let pre = routed.message_timeout(Duration::from_secs(10));
+        assert_eq!(pre.map(|m| m.payload), Some(b"pre".to_vec()));
+        proxy.set_black_hole(true);
+        proxy.reset_all();
+        wait_until(
+            "broker drops the routed subscriber",
+            Duration::from_secs(10),
+            || broker.channel_subscribers("room") == 0,
+        );
+        for i in 0..REPLAYED {
+            publisher.publish("room", &replayed(i));
+        }
+        wait_until("outage traffic retained", Duration::from_secs(10), || {
+            broker.channel_retention("room").1 > REPLAYED as u64
+        });
+        proxy.set_black_hole(false);
+        wait_until("routed client resumed", Duration::from_secs(30), || {
+            std::iter::from_fn(|| routed.try_event()).any(|e| {
+                matches!(e.event, ClientEvent::Resumed { replayed, .. } if replayed == REPLAYED as u64)
+            })
+        });
+        assert_replay_queued("routed client", REPLAYED, || routed.try_message());
+
+        routed.shutdown();
+        plain.shutdown();
         publisher.shutdown();
         proxy.shutdown();
         broker.shutdown();
